@@ -28,16 +28,15 @@ from .blocks import block_schedule
 from .entropy import plug_in_estimates
 from .harness import (
     ExperimentConfig,
+    _effective_spectral,
     potential_from_config,
     run_ldp,
     write_report,
 )
 from .pressure import (
     ConvergenceError,
-    MarkovPotential,
     ReducibilityError,
     equilibrium_blocks,
-    normalize_potential,
     pressure,
     spectral_to_json_dict,
 )
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--threads", type=int, default=None, help="worker hint (echoed)")
         p.add_argument("--beta", type=float, default=None, help="override beta")
         p.add_argument(
             "--epsilon", type=float, default=None, help="override epsilon"
@@ -120,7 +118,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise _CliError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError("config must be a JSON object")
-    for key in ("seed", "beta", "epsilon", "threads"):
+    for key in ("seed", "beta", "epsilon"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
@@ -132,18 +130,9 @@ def _echo(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _effective(config: ExperimentConfig):
-    phi = potential_from_config(config.potential)
-    if config.beta != 1.0:
-        phi = normalize_potential(
-            MarkovPotential(phi.alphabet_size, phi.k, config.beta * phi.values)
-        )[0]
-    return phi, pressure(phi, 1.0)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    phi, sd = _effective(config)
+    phi, sd = _effective_spectral(config)
     n = args.n if args.n is not None else config.n_grid[-1]
     if n < phi.k - 1:
         raise _CliError("path length is shorter than the potential's memory")
@@ -165,7 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    phi, sd = _effective(config)
+    phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
     if args.path is not None:
         x, file_alphabet, file_seed = read_path_file(args.path)
@@ -208,7 +197,7 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    phi, sd = _effective(config)
+    phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
     os.makedirs(args.out, exist_ok=True)
 

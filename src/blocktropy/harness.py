@@ -52,7 +52,7 @@ from .rates import (
     zero_temperature_entropy,
 )
 from .simulate import RNG_NAME, birkhoff_sum, birkhoff_sums, sample_paths
-from .typegraphs import enumerate_strings_chunk
+from .typegraphs import _CHUNK_CELLS, enumerate_strings_chunk
 
 __all__ = [
     "AuditRow",
@@ -77,7 +77,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _EXACT_STRING_CAP = 1 << 22
-_CHUNK_CELLS = 1 << 22
 _STAGE_LLN = 1
 _STAGE_SCGF = 2
 _STAGE_VARIANCE = 3
@@ -99,7 +98,6 @@ _CONFIG_KEYS = (
     "bin_width",
     "variance_n",
     "variance_replicas",
-    "threads",
 )
 
 
@@ -123,7 +121,6 @@ class ExperimentConfig:
     bin_width: float = 0.02
     variance_n: int = 4096
     variance_replicas: int = 500
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.potential, Mapping):
@@ -156,8 +153,6 @@ class ExperimentConfig:
             raise ValueError("bin_width must be positive")
         if self.variance_n < 2 or self.variance_replicas < 2:
             raise ValueError("variance stage needs n >= 2 and replicas >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "ExperimentConfig":
@@ -194,7 +189,6 @@ class ExperimentConfig:
             "bin_width": self.bin_width,
             "variance_n": self.variance_n,
             "variance_replicas": self.variance_replicas,
-            "threads": self.threads,
         }
 
 

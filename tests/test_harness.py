@@ -39,6 +39,9 @@ def test_config_round_trip_and_unknown_keys():
     assert back == config
     with pytest.raises(ValueError):
         bt.ExperimentConfig.from_json_dict({"potential": CHAIN_CONFIG, "nn": 1})
+    # the former "threads" worker hint is no longer part of the schema
+    with pytest.raises(ValueError, match="unknown config keys: threads"):
+        bt.ExperimentConfig.from_json_dict({"potential": CHAIN_CONFIG, "threads": 1})
     with pytest.raises(ValueError):
         bt.ExperimentConfig.from_json_dict({"seed": 5})
 
@@ -64,7 +67,6 @@ def test_config_round_trip_and_unknown_keys():
         {"bin_width": 0.0},
         {"variance_n": 1},
         {"variance_replicas": 1},
-        {"threads": 0},
     ],
 )
 def test_config_validation(override):

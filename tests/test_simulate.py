@@ -2,12 +2,101 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import blocktropy as bt
+from blocktropy.simulate import _chunk_shape
+
+#: sha256 of ``sample_paths(chain_spectral, 8192 + 37, seed=13)[0].tobytes()``,
+#: recorded from the step-by-step sampler that ``reference_paths`` reproduces.
+PINNED_CHAIN_DIGEST = "494cc8671a1c55fb2c4ebaa49d7be0cdccd48d34bbe4f40c60357aeeb738b1ce"
+
+
+def reference_paths(sd, n, seed, replicas=1, init="stationary", replica_offset=0):
+    """Step-by-step oracle: one interpreted step per symbol, vectorized over
+    replicas, drawing each replica's uniforms in blocks of 8192."""
+    A = sd.potential.alphabet_size
+    k = sd.potential.k
+    V = A ** (k - 1)
+    R = replicas
+    gens = [
+        np.random.default_rng((seed ^ (replica_offset + r)) & 0xFFFFFFFFFFFFFFFF)
+        for r in range(R)
+    ]
+    dtype = np.int8 if A <= 127 else np.int64
+    out = np.zeros((R, n), dtype=dtype)
+
+    states = np.zeros(R, dtype=np.int64)
+    if k >= 2:
+        if init == "stationary":
+            cum_q = np.cumsum(sd.vertex_stationary)
+            draws = np.array([g.random() for g in gens])
+            states = np.minimum(
+                np.searchsorted(cum_q, draws, side="right"), V - 1
+            ).astype(np.int64)
+        else:
+            states[:] = bt.word_to_index(init, A)
+        tmp = states.copy()
+        for j in range(k - 1):
+            out[:, k - 2 - j] = (tmp % A).astype(dtype)
+            tmp //= A
+
+    steps = n - (k - 1)
+    cum_kernel = np.cumsum(sd.kernel, axis=1)
+    cum_kernel[:, -1] = 1.0
+    pos = k - 1
+    chunk = 8192
+    done = 0
+    while done < steps:
+        t_block = min(chunk, steps - done)
+        uniforms = np.empty((R, t_block))
+        for r, g in enumerate(gens):
+            uniforms[r] = g.random(t_block)
+        for t in range(t_block):
+            rows = cum_kernel[states]
+            symbols = (uniforms[:, t, None] >= rows).sum(axis=1)
+            symbols = np.minimum(symbols, A - 1)
+            out[:, pos] = symbols.astype(dtype)
+            states = (states * A + symbols) % V
+            pos += 1
+        done += t_block
+    return out
+
+
+@pytest.fixture(scope="module")
+def random_spectra():
+    rng = np.random.default_rng(2004)
+    return {
+        (A, k): bt.pressure(
+            bt.normalize_potential(bt.MarkovPotential(A, k, rng.normal(size=A**k)))[0],
+            1.0,
+        )
+        for A in (2, 3, 4)
+        for k in (1, 2, 3, 4)
+    }
+
+
+@pytest.mark.parametrize("R", [1, 3, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("A", [2, 3, 4])
+def test_sampler_matches_step_by_step_reference(random_spectra, A, k, R):
+    # lengths k-1, k, one step either side of a chunk, and 3 chunks + 37;
+    # a path of length n is the prefix of a longer one on the same streams
+    sd = random_spectra[(A, k)]
+    t_chunk = _chunk_shape(A ** (k - 1), R, 1 << 62)[1]
+    lengths = [k - 1, k, k - 1 + t_chunk - 1, k - 1 + t_chunk + 1, k - 1 + 3 * t_chunk + 37]
+    inits = ["stationary"] + ([tuple(j % A for j in range(1, k))] if k > 1 else [])
+    for init in inits:
+        ref = reference_paths(sd, lengths[-1], 77, R, init, replica_offset=5)
+        for n in lengths:
+            got = bt.sample_paths(sd, n, 77, R, init, replica_offset=5)
+            assert got.dtype == ref.dtype and got.shape == (R, n)
+            np.testing.assert_array_equal(got, ref[:, :n], err_msg=f"n={n} init={init}")
 
 
 def test_batch_matches_single_and_offset(chain_spectral):
@@ -123,9 +212,29 @@ def test_sampler_spec_validation(chain_spectral):
 
 
 def test_long_path_chunk_boundary(chain_spectral):
-    # crossing the internal block size must not disturb the stream
-    x = bt.sample_paths(chain_spectral, 8192 + 37, seed=13)[0]
-    y = bt.sample_paths(chain_spectral, 8192 + 37, seed=13)[0]
-    np.testing.assert_array_equal(x, y)
-    assert x.shape == (8192 + 37,)
-    assert set(np.unique(x)) <= {0, 1}
+    # a long single path crosses several chunks; it must match the
+    # step-by-step oracle and the digest that oracle produced
+    t_chunk = _chunk_shape(2, 1, 1 << 62)[1]
+    n = 3 * t_chunk + 37
+    x = bt.sample_paths(chain_spectral, n, seed=13)
+    np.testing.assert_array_equal(x, reference_paths(chain_spectral, n, seed=13))
+    pinned = bt.sample_paths(chain_spectral, 8192 + 37, seed=13)[0]
+    assert hashlib.sha256(pinned.tobytes()).hexdigest() == PINNED_CHAIN_DIGEST
+    np.testing.assert_array_equal(pinned, x[0, : 8192 + 37])
+
+
+def test_sampler_memory_is_bounded():
+    # one A = 4, k = 3 path of 2**20 symbols: beyond the 1 MiB output the
+    # sampler's chunk tables must stay small
+    rng = np.random.default_rng(5)
+    phi = bt.normalize_potential(bt.MarkovPotential(4, 3, rng.normal(size=64)))[0]
+    sd = bt.pressure(phi, 1.0)
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        x = bt.sample_paths(sd, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes == n
+    assert peak - x.nbytes < 4 << 20, f"transient peak {peak - x.nbytes} bytes"
