@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "BlockDistribution",
+    "block_counts",
     "block_schedule",
     "cyclic_window_codes",
     "empirical_block_measure",
@@ -141,12 +142,40 @@ def cyclic_window_codes(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray
         raise ValueError("empty sample")
     if k > n:
         raise ValueError(f"block length {k} exceeds sample length {n}")
-    padded = np.concatenate([x, x[..., : k - 1]], axis=-1) if k > 1 else x
-    codes = np.zeros(x.shape[:-1] + (n,), dtype=np.int64)
-    for j in range(k):
-        codes *= alphabet_size
-        codes += padded[..., j : j + n]
-    return codes
+    return window_codes(np.concatenate([x, x[..., : k - 1]], axis=-1), k, alphabet_size)
+
+
+def block_counts(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
+    """Cyclic k-block counts of a sample (n,) or of each row of a batch (R, n).
+
+    Returns integer counts of shape x.shape[:-1] + (A**k,), in word-code
+    order; every row sums to n.  One bincount covers the whole batch, each
+    row's codes shifted into its own range of A**k bins.
+    """
+    x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= alphabet_size):
+        raise ValueError("sample contains symbols outside the alphabet")
+    codes = cyclic_window_codes(x, k, alphabet_size).reshape(-1, x.shape[-1])
+    n_words = alphabet_size**k
+    rows = codes.shape[0]
+    codes += np.arange(rows, dtype=np.int64)[:, None] * n_words
+    counts = np.bincount(codes.ravel(), minlength=rows * n_words)
+    return counts.reshape(x.shape[:-1] + (n_words,))
+
+
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array of nonnegative integers in
+    lexicographic order, and for each row the index of its distinct row.
+
+    The result of ``np.unique(counts, axis=0, return_inverse=True)``, but
+    each row is sorted as one big-endian byte string, whose byte order is
+    the numeric order of nonnegative integers; that is several times faster
+    than numpy's field-by-field row sort.
+    """
+    keys = np.ascontiguousarray(counts, dtype=">u8")
+    keys = keys.view(np.dtype((np.void, keys.itemsize * counts.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return counts[first], inverse
 
 
 def empirical_block_measure(
@@ -161,10 +190,7 @@ def empirical_block_measure(
     x = np.asarray(x, dtype=np.int64)
     if x.ndim != 1:
         raise ValueError("expected a single 1-d sample")
-    if x.size and (x.min() < 0 or x.max() >= alphabet_size):
-        raise ValueError("sample contains symbols outside the alphabet")
-    codes = cyclic_window_codes(x, k, alphabet_size)
-    counts = np.bincount(codes, minlength=alphabet_size**k)
+    counts = block_counts(x, k, alphabet_size)
     return BlockDistribution(
         alphabet_size, k, counts / x.size, stationary=True
     )

@@ -21,26 +21,72 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import BlockDistribution, empirical_block_measure, marginalize
+from .blocks import BlockDistribution, _distinct_rows, block_counts
 
 __all__ = [
     "EntropyRecord",
     "conditional_block_entropy",
     "conditional_relative_entropy",
     "continuity_bound",
+    "functionals_from_counts",
     "measure_functional",
     "plug_in_estimates",
     "relative_block_entropy",
+    "select_functional",
     "shannon_block_entropy",
     "MEASURE_FUNCTIONALS",
 ]
 
 
+def _entropy(w: np.ndarray) -> float:
+    """-sum w ln w over the positive entries of w, summed in code order."""
+    p = w[w > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+def _divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """sum p ln(p/q) over the positive entries of p; +inf off q's support."""
+    pos = p > 0
+    if np.any(q[pos] <= 0):
+        return math.inf
+    return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
+
+
+def _reference(
+    rho: BlockDistribution, alphabet_size: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of a reference k-block law and of its right marginal."""
+    if (rho.alphabet_size, rho.k) != (alphabet_size, k):
+        raise ValueError("distributions live on different block spaces")
+    return rho.weights, rho.weights.reshape(-1, alphabet_size).sum(axis=1)
+
+
+def _row_functionals(
+    w: np.ndarray,
+    alphabet_size: int,
+    k: int,
+    ref: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[float, ...]:
+    """(H_k, h_k) of one row of block weights, then (D_k, Delta_k) against
+    ``ref`` if given; the (k-1)-terms use the right marginals (last symbol
+    summed out), and are 0 for k = 1."""
+    lower = w.reshape(-1, alphabet_size).sum(axis=1)
+    hk = _entropy(w)
+    values = (hk, hk if k == 1 else hk - _entropy(lower))
+    if ref is None:
+        return values
+    dk = _divergence(w, ref[0])
+    if k == 1:
+        return values + (dk, dk)
+    dkm1 = _divergence(lower, ref[1])
+    if math.isinf(dk) and math.isinf(dkm1):
+        return values + (dk, math.inf)
+    return values + (dk, dk - dkm1)
+
+
 def shannon_block_entropy(nu: BlockDistribution) -> float:
     """H_k(nu) = -sum nu ln nu, with 0 ln 0 = 0."""
-    w = nu.weights
-    pos = w > 0
-    return float(-(w[pos] * np.log(w[pos])).sum())
+    return _entropy(nu.weights)
 
 
 def conditional_block_entropy(nu: BlockDistribution) -> float:
@@ -49,21 +95,12 @@ def conditional_block_entropy(nu: BlockDistribution) -> float:
     For the k-marginal of a (k-1)-step Markov measure this equals the
     entropy rate of the process.
     """
-    hk = shannon_block_entropy(nu)
-    if nu.k == 1:
-        return hk
-    return hk - shannon_block_entropy(marginalize(nu, "right"))
+    return _row_functionals(nu.weights, nu.alphabet_size, nu.k)[1]
 
 
 def relative_block_entropy(nu: BlockDistribution, rho: BlockDistribution) -> float:
     """D_k(nu | rho); +inf if nu's support is not contained in rho's."""
-    if (nu.alphabet_size, nu.k) != (rho.alphabet_size, rho.k):
-        raise ValueError("distributions live on different block spaces")
-    p, q = nu.weights, rho.weights
-    pos = p > 0
-    if np.any(q[pos] <= 0):
-        return math.inf
-    return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
+    return _divergence(nu.weights, _reference(rho, nu.alphabet_size, nu.k)[0])
 
 
 def conditional_relative_entropy(
@@ -78,13 +115,37 @@ def conditional_relative_entropy(
     with C_{k-1} the number of distinct (k-1)-contexts seen, so it tends
     to 0 but only at rate about n**(-eps).
     """
-    dk = relative_block_entropy(nu, rho)
-    if nu.k == 1:
-        return dk
-    dkm1 = relative_block_entropy(marginalize(nu, "right"), marginalize(rho, "right"))
-    if math.isinf(dk) and math.isinf(dkm1):
-        return math.inf
-    return dk - dkm1
+    A, k = nu.alphabet_size, nu.k
+    return _row_functionals(nu.weights, A, k, _reference(rho, A, k))[3]
+
+
+def functionals_from_counts(
+    counts: np.ndarray,
+    n: int,
+    k: int,
+    rho_k: Optional[BlockDistribution] = None,
+) -> np.ndarray:
+    """Plug-in functionals of every row of an (R, A**k) block-count matrix.
+
+    Row r of the result holds H_k and h_k of the law counts[r] / n, then
+    D_k and Delta_k against ``rho_k`` when one is given: shape (R, 2) or
+    (R, 4), columns in :class:`EntropyRecord` order.  A functional of the
+    counts depends only on the type, so each distinct row is evaluated
+    once and the values are gathered back.  Every sum runs over the
+    nonzero entries of its row, in code order, exactly as the
+    single-distribution functions above sum, so each value is bitwise the
+    one they return for that row's law.
+    """
+    counts = np.asarray(counts)
+    alphabet_size = round(counts.shape[-1] ** (1.0 / k))
+    if counts.ndim != 2 or alphabet_size**k != counts.shape[-1]:
+        raise ValueError(f"expected an (R, A**{k}) matrix of block counts")
+    ref = None if rho_k is None else _reference(rho_k, alphabet_size, k)
+    distinct, inverse = _distinct_rows(counts)
+    values = np.array(
+        [_row_functionals(row / n, alphabet_size, k, ref) for row in distinct]
+    )
+    return values[inverse]
 
 
 @dataclass(frozen=True)
@@ -116,15 +177,12 @@ def plug_in_estimates(
 ) -> EntropyRecord:
     """Empirical H_k, h_k (and D_k, Delta_k against ``rho_k`` if given)
     from the cyclic k-block counts of one sample."""
-    x = np.asarray(x, dtype=np.int64)
-    pi_k = empirical_block_measure(x, k, alphabet_size)
-    hk = shannon_block_entropy(pi_k)
-    cond = conditional_block_entropy(pi_k)
-    rel = rel_cond = None
-    if rho_k is not None:
-        rel = relative_block_entropy(pi_k, rho_k)
-        rel_cond = conditional_relative_entropy(pi_k, rho_k)
-    return EntropyRecord(int(x.size), k, hk, cond, rel, rel_cond)
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError("expected a single 1-d sample")
+    counts = block_counts(x[None], k, alphabet_size)
+    values = functionals_from_counts(counts, x.size, k, rho_k)[0]
+    return EntropyRecord(int(x.size), k, *values.tolist())
 
 
 def continuity_bound(delta: float, k: int, alphabet_size: int) -> float:
@@ -144,22 +202,36 @@ def continuity_bound(delta: float, k: int, alphabet_size: int) -> float:
 
 #: Functionals of a k-block law used by the deviation machinery: per-step
 #: conditional entropy, per-symbol block entropy, per-symbol relative
-#: entropy, and the conditional relative entropy.
-MEASURE_FUNCTIONALS = ("conditional", "average", "relative_conditional", "relative_average")
+#: entropy, and the conditional relative entropy.  Each reads one column of
+#: :func:`functionals_from_counts`, divided by k for the per-symbol forms.
+_FUNCTIONAL_COLUMNS = {
+    "conditional": (1, False),
+    "average": (0, True),
+    "relative_conditional": (3, False),
+    "relative_average": (2, True),
+}
+MEASURE_FUNCTIONALS = tuple(_FUNCTIONAL_COLUMNS)
+
+
+def select_functional(name: str, values: np.ndarray, k: int) -> np.ndarray:
+    """The named functional, read off the last axis of values shaped like
+    those of :func:`functionals_from_counts` (one row or many)."""
+    if name not in _FUNCTIONAL_COLUMNS:
+        raise ValueError(f"unknown functional {name!r}")
+    column, per_symbol = _FUNCTIONAL_COLUMNS[name]
+    if column >= values.shape[-1]:
+        raise ValueError(f"functional {name!r} needs a reference distribution")
+    picked = values[..., column]
+    return picked / k if per_symbol else picked
 
 
 def measure_functional(
     name: str, nu: BlockDistribution, rho_k: Optional[BlockDistribution] = None
 ) -> float:
     """Evaluate one of :data:`MEASURE_FUNCTIONALS` on a k-block law."""
-    if name == "conditional":
-        return conditional_block_entropy(nu)
-    if name == "average":
-        return shannon_block_entropy(nu) / nu.k
-    if rho_k is None:
-        raise ValueError(f"functional {name!r} needs a reference distribution")
-    if name == "relative_conditional":
-        return conditional_relative_entropy(nu, rho_k)
-    if name == "relative_average":
-        return relative_block_entropy(nu, rho_k) / nu.k
-    raise ValueError(f"unknown functional {name!r}")
+    A, k = nu.alphabet_size, nu.k
+    ref = None
+    if name.startswith("relative") and rho_k is not None:
+        ref = _reference(rho_k, A, k)
+    values = np.array(_row_functionals(nu.weights, A, k, ref))
+    return float(select_functional(name, values, k))

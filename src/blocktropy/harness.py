@@ -21,20 +21,17 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .blocks import (
-    block_schedule,
-    cyclic_window_codes,
-    marginalize,
-    window_codes,
-)
+from .blocks import block_counts, block_schedule, window_codes
 from .entropy import (
     MEASURE_FUNCTIONALS,
     EntropyRecord,
+    functionals_from_counts,
     plug_in_estimates,
+    select_functional,
 )
 from .pressure import (
     MarkovPotential,
@@ -52,7 +49,7 @@ from .rates import (
     zero_temperature_entropy,
 )
 from .simulate import RNG_NAME, birkhoff_sum, birkhoff_sums, sample_paths
-from .typegraphs import _CHUNK_CELLS, enumerate_strings_chunk
+from .typegraphs import _chunked_count_matrices
 
 __all__ = [
     "AuditRow",
@@ -264,22 +261,6 @@ def _stage_seed(seed: int, stage: int, n: int) -> int:
     return (seed ^ mixed) & _MASK64
 
 
-def _record_functional(record: EntropyRecord, functional: str) -> float:
-    if functional == "conditional":
-        return record.cond_entropy
-    if functional == "average":
-        return record.block_entropy / record.k
-    if functional == "relative_conditional":
-        value = record.rel_cond_entropy
-    elif functional == "relative_average":
-        value = record.rel_entropy / record.k  # type: ignore[operator]
-    else:
-        raise ValueError(f"unknown functional {functional!r}")
-    if value is None:
-        raise ValueError("relative functionals need a reference law")
-    return value
-
-
 @dataclass(frozen=True)
 class SampleRow:
     n: int
@@ -355,8 +336,19 @@ class LdpReport:
     summary: Mapping[str, object] = field(default_factory=dict)
 
 
-def _replica_group_size(n: int) -> int:
-    return max(1, (1 << 24) // max(n, 1))
+def _replica_groups(
+    sd: SpectralData, n: int, seed: int, replicas: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, paths) for consecutive groups of the seeded replicas.
+
+    A group holds about 2**20 symbols, which bounds the memory of the
+    per-window arrays callers build from it.  Replica streams do not depend
+    on the grouping, so the paths are the same for any group size.
+    """
+    group = max(1, (1 << 20) // max(n, 1))
+    for start in range(0, replicas, group):
+        count = min(group, replicas - start)
+        yield start, sample_paths(sd, n, seed, count, replica_offset=start)
 
 
 def run_lln(config: ExperimentConfig) -> LdpReport:
@@ -374,17 +366,12 @@ def run_lln(config: ExperimentConfig) -> LdpReport:
         k = block_schedule(n, A, config.epsilon)
         rho_k = equilibrium_blocks(sd, k)
         seed_n = _stage_seed(config.seed, _STAGE_LLN, n)
-        group = _replica_group_size(n)
         devs: list[float] = []
         conds: list[float] = []
-        for start in range(0, config.replicas, group):
-            count = min(group, config.replicas - start)
-            paths = sample_paths(
-                sd, n, seed_n, count, replica_offset=start
-            )
-            for local in range(count):
-                replica = start + local
-                record = plug_in_estimates(paths[local], k, A, rho_k)
+        for start, paths in _replica_groups(sd, n, seed_n, config.replicas):
+            values = functionals_from_counts(block_counts(paths, k, A), n, k, rho_k)
+            for replica, row in enumerate(values.tolist(), start):
+                record = EntropyRecord(n, k, *row)
                 samples.append(
                     SampleRow(
                         n=n,
@@ -419,46 +406,6 @@ def _logsumexp(values: np.ndarray) -> float:
     return top + math.log(float(np.exp(values - top).sum()))
 
 
-def _counts_functional(
-    counts: np.ndarray,
-    n: int,
-    k: int,
-    alphabet_size: int,
-    functional: str,
-    log_rho_k: Optional[np.ndarray],
-    log_rho_km1: Optional[np.ndarray],
-) -> np.ndarray:
-    """Vectorized per-row measure functional from cyclic k-block counts."""
-    counts = counts.astype(float)
-    safe = np.where(counts > 0, counts, 1.0)
-    clogc = (counts * np.log(safe)).sum(axis=1)
-    block_h = math.log(n) - clogc / n
-    if functional == "average":
-        return block_h / k
-    if k >= 2:
-        lower = counts.reshape(-1, alphabet_size ** (k - 1), alphabet_size).sum(
-            axis=2
-        )
-        safe1 = np.where(lower > 0, lower, 1.0)
-        clogc1 = (lower * np.log(safe1)).sum(axis=1)
-        lower_h = math.log(n) - clogc1 / n
-    else:
-        lower = None
-        lower_h = np.zeros(counts.shape[0])
-    if functional == "conditional":
-        return block_h - lower_h
-    assert log_rho_k is not None
-    rel_k = clogc / n - math.log(n) - counts @ log_rho_k / n
-    if functional == "relative_average":
-        return rel_k / k
-    if k >= 2:
-        assert lower is not None and log_rho_km1 is not None
-        rel_km1 = clogc1 / n - math.log(n) - lower @ log_rho_km1 / n
-    else:
-        rel_km1 = np.zeros(counts.shape[0])
-    return rel_k - rel_km1
-
-
 def exact_finite_scgf(
     phi: MarkovPotential,
     n: int,
@@ -486,39 +433,22 @@ def exact_finite_scgf(
     if sd is None:
         sd = pressure(phi, 1.0)
 
-    log_rho_k = log_rho_km1 = None
+    rho_k = None
     if functional.startswith("relative"):
         rho_k = equilibrium_blocks(sd, k)
         if np.any(rho_k.weights <= 0):
             raise ValueError("relative functionals need a full-support law")
-        log_rho_k = np.log(rho_k.weights)
-        if k >= 2:
-            log_rho_km1 = np.log(marginalize(rho_k, "right").weights)
 
     d = phi.k
     with np.errstate(divide="ignore"):
         log_q = np.log(sd.vertex_stationary)
         log_kernel = np.log(sd.kernel).ravel()
 
-    n_words = A**k
-    total = A**n
-    rows = max(1, _CHUNK_CELLS // max(n_words, n))
     chunk_sums: list[float] = []
     mass_sums: list[float] = []
-    offsets_cache: dict[int, np.ndarray] = {}
-    for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        x = enumerate_strings_chunk(lo, hi, n, A)
-        m = x.shape[0]
-        codes = cyclic_window_codes(x, k, A)
-        if m not in offsets_cache:
-            offsets_cache[m] = np.arange(m, dtype=np.int64)[:, None] * n_words
-        counts = np.bincount(
-            (codes + offsets_cache[m]).ravel(), minlength=m * n_words
-        ).reshape(m, n_words)
-        f_vals = _counts_functional(
-            counts, n, k, A, functional, log_rho_k, log_rho_km1
-        )
+    for x, counts in _chunked_count_matrices(n, k, A):
+        values = functionals_from_counts(counts, n, k, rho_k)
+        f_vals = select_functional(functional, values, k)
         path_codes = window_codes(x, d, A)
         log_mass = log_q[path_codes[:, 0] // A] + log_kernel[path_codes].sum(
             axis=1
@@ -551,13 +481,10 @@ def mc_scgf(
     if functional.startswith("relative"):
         rho_k = equilibrium_blocks(sd, k)
     values = np.empty(replicas)
-    group = _replica_group_size(n)
-    for start in range(0, replicas, group):
-        count = min(group, replicas - start)
-        paths = sample_paths(sd, n, seed, count, replica_offset=start)
-        for local in range(count):
-            record = plug_in_estimates(paths[local], k, A, rho_k)
-            values[start + local] = _record_functional(record, functional)
+    for start, paths in _replica_groups(sd, n, seed, replicas):
+        counts = block_counts(paths, k, A)
+        table = functionals_from_counts(counts, n, k, rho_k)
+        values[start : start + len(paths)] = select_functional(functional, table, k)
     scaled = n * t * values
     top = float(scaled.max())
     weights = np.exp(scaled - top)
@@ -658,11 +585,8 @@ def variance_audit(
         sd = pressure(phi, 1.0)
     theory = asymptotic_variance(phi)
     sums = np.empty(replicas)
-    group = _replica_group_size(n)
-    for start in range(0, replicas, group):
-        count = min(group, replicas - start)
-        paths = sample_paths(sd, n, seed, count, replica_offset=start)
-        sums[start : start + count] = birkhoff_sums(paths, phi)
+    for start, paths in _replica_groups(sd, n, seed, replicas):
+        sums[start : start + len(paths)] = birkhoff_sums(paths, phi)
     empirical = float(np.var(sums / n, ddof=1)) * n
     scale = theory * math.sqrt(2.0 / (replicas - 1))
     if scale > 0:

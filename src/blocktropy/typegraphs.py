@@ -17,6 +17,7 @@ combination of simple-cycle measures.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .blocks import BlockDistribution, cyclic_window_codes, empirical_block_measure
+from .blocks import (
+    BlockDistribution,
+    _distinct_rows,
+    block_counts,
+    empirical_block_measure,
+)
 
 __all__ = [
     "CountTable",
@@ -194,18 +200,13 @@ def enumerate_strings_chunk(lo: int, hi: int, n: int, alphabet_size: int) -> np.
 
 def _chunked_count_matrices(
     n: int, k: int, alphabet_size: int
-) -> Iterator[np.ndarray]:
-    """Yield cyclic k-block count matrices for all A**n strings, in chunks."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (strings, cyclic k-block counts) for all A**n strings, in chunks."""
     total = alphabet_size**n
-    n_words = alphabet_size**k
-    rows = max(1, _CHUNK_CELLS // max(n_words, n))
+    rows = max(1, _CHUNK_CELLS // max(alphabet_size**k, n))
     for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        x = enumerate_strings_chunk(lo, hi, n, alphabet_size)
-        codes = cyclic_window_codes(x, k, alphabet_size)
-        offsets = np.arange(hi - lo, dtype=np.int64)[:, None] * n_words
-        flat = np.bincount((offsets + codes).ravel(), minlength=(hi - lo) * n_words)
-        yield flat.reshape(hi - lo, n_words)
+        x = enumerate_strings_chunk(lo, min(lo + rows, total), n, alphabet_size)
+        yield x, block_counts(x, k, alphabet_size)
 
 
 def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistribution]:
@@ -219,8 +220,8 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
         raise ValueError("type enumeration limited to A**n <= 2**24 strings")
     if k > n:
         raise ValueError("block length exceeds string length")
-    chunks = [np.unique(m, axis=0) for m in _chunked_count_matrices(n, k, alphabet_size)]
-    types = np.unique(np.vstack(chunks), axis=0)
+    chunks = [_distinct_rows(m)[0] for _, m in _chunked_count_matrices(n, k, alphabet_size)]
+    types = _distinct_rows(np.vstack(chunks))[0]
     return [
         BlockDistribution(alphabet_size, k, row / n, stationary=True) for row in types
     ]
@@ -267,7 +268,7 @@ def type_class_size(table: CountTable, mode: str = "exact"):
             raise ValueError("exact type class size limited to n <= 16")
         target = table.counts
         matches = 0
-        for m in _chunked_count_matrices(table.n, table.k, table.alphabet_size):
+        for _, m in _chunked_count_matrices(table.n, table.k, table.alphabet_size):
             matches += int((m == target).all(axis=1).sum())
         return matches
     if mode != "bounds":
@@ -301,6 +302,26 @@ def type_class_size(table: CountTable, mode: str = "exact"):
 def _arc_endpoints(w: int, alphabet_size: int, k: int) -> tuple[int, int]:
     V = alphabet_size ** (k - 1)
     return w // alphabet_size, w % V
+
+
+def _snap_lone_arcs(
+    z: np.ndarray, frac_arcs: list[int], alphabet_size: int, k: int
+) -> list[int]:
+    """Round off fractional arcs that are alone at an endpoint; return the rest.
+
+    Balance at that endpoint forces such an arc to an integer, so its
+    fractional part is drift left by snapping its neighbours, and the cycle
+    walk would dead-end on it.  Repeats until no non-loop fractional arc is
+    alone at either endpoint.
+    """
+    while True:
+        ends = {w: _arc_endpoints(w, alphabet_size, k) for w in frac_arcs}
+        slots = Counter(e for u, v in ends.values() if u != v for e in (u, v))
+        lone = [w for w, (u, v) in ends.items() if u != v and 1 in (slots[u], slots[v])]
+        if not lone:
+            return frac_arcs
+        z[lone] = np.round(z[lone])
+        frac_arcs = [w for w in frac_arcs if w not in lone]
 
 
 def _find_fractional_cycle(
@@ -436,6 +457,7 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
             nearest = np.round(z)
             z[np.abs(z - nearest) <= snap_tol] = nearest[np.abs(z - nearest) <= snap_tol]
             frac_arcs = [int(w) for w in np.flatnonzero(np.abs(z - np.round(z)) > snap_tol)]
+            frac_arcs = _snap_lone_arcs(z, frac_arcs, A, k)
             if not frac_arcs:
                 break
             cycle = _find_fractional_cycle(frac_arcs, A, k)

@@ -56,6 +56,15 @@ def test_window_codes_batch_matches_rows():
             np.testing.assert_array_equal(
                 batch_plain[r], bt.window_codes(X[r], k, 3)
             )
+        counts = bt.block_counts(X, k, 3)
+        assert counts.shape == (5, 3**k)
+        for r in range(5):
+            np.testing.assert_array_equal(
+                counts[r], np.bincount(batch[r], minlength=3**k)
+            )
+            np.testing.assert_array_equal(counts[r], bt.block_counts(X[r], k, 3))
+    with pytest.raises(ValueError):
+        bt.block_counts(X, 2, 2)  # symbol 2 outside a binary alphabet
 
 
 def test_empirical_block_measure_is_stationary_and_exact():

@@ -110,6 +110,74 @@ def test_plug_in_estimates_with_reference(chain_spectral):
     )
 
 
+def _per_distribution_functionals(counts, n, A, k, rho):
+    """H_k, h_k (and D_k, Delta_k against rho) of the law counts / n, summed
+    per distribution over its positive weights in code order -- the order
+    every plug-in value in the package has always been computed in."""
+
+    def entropy(w):
+        pos = w > 0
+        return float(-(w[pos] * np.log(w[pos])).sum())
+
+    def divergence(p, q):
+        pos = p > 0
+        if np.any(q[pos] <= 0):
+            return math.inf
+        return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
+
+    nu = bt.BlockDistribution(A, k, counts / n, stationary=True)
+    hk = entropy(nu.weights)
+    if k == 1:
+        values = (hk, hk)
+    else:
+        values = (hk, hk - entropy(bt.marginalize(nu, "right").weights))
+    if rho is None:
+        return values
+    dk = divergence(nu.weights, rho.weights)
+    if k == 1:
+        return values + (dk, dk)
+    dkm1 = divergence(
+        bt.marginalize(nu, "right").weights, bt.marginalize(rho, "right").weights
+    )
+    both_inf = math.isinf(dk) and math.isinf(dkm1)
+    return values + (dk, math.inf if both_inf else dk - dkm1)
+
+
+@pytest.mark.parametrize("A", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_functionals_from_counts_is_bitwise_plug_in(A, k):
+    # every row of the batched core equals, bit for bit, both the single-path
+    # estimator and per-distribution sums; repeated rows exercise the
+    # evaluate-once-per-type gather, and references with zero weights give
+    # D_k = +inf and Delta_k = inf - inf = +inf
+    rng = np.random.default_rng(100 * A + k)
+    infinite = 0
+    for _ in range(8):
+        n = int(rng.integers(k, 48))
+        X = rng.integers(0, A, size=(10, n))
+        X[1] = rng.integers(0, 2, size=n)
+        X[1, :k] = 0  # the all-zeros word, which rho never charges
+        X[6:] = X[:4]
+        weights = rng.random(A**k) * (rng.random(A**k) < 0.8)
+        weights[: A if k > 1 else 1] = 0.0  # all-zeros (k-1)-prefix uncharged
+        weights[-1] += 1.0
+        rho = bt.BlockDistribution(A, k, weights / weights.sum())
+        counts = bt.block_counts(X, k, A)
+        for ref in (None, rho):
+            values = bt.functionals_from_counts(counts, n, k, ref)
+            assert values.shape == (10, 2 if ref is None else 4)
+            for r in range(10):
+                row = tuple(values[r].tolist())
+                assert row == _per_distribution_functionals(counts[r], n, A, k, ref)
+                rec = bt.plug_in_estimates(X[r], k, A, ref)
+                fields = (rec.block_entropy, rec.cond_entropy)
+                if ref is not None:
+                    fields += (rec.rel_entropy, rec.rel_cond_entropy)
+                assert row == fields
+            infinite += int(np.isinf(values).sum())
+    assert infinite > 0
+
+
 def _context_kl(x: np.ndarray, k: int, transition: np.ndarray) -> float:
     """Context-wise form of Delta_k against a first-order chain:
     sum_c sum_b (N_cb/n) ln(N_cb / (N_c P[last(c), b])) over the cyclic

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,15 @@ import blocktropy as bt
 from blocktropy.harness import mc_scgf
 
 from conftest import CHAIN_CONFIG
+
+#: sha256 of the four CSVs ``blocktropy ldp`` writes for configs/ldp_example.json,
+#: as recorded in perfbench/expected.json.
+EXAMPLE_CSV_SHA256 = {
+    "samples": "64336806aa10e3f084b65fc6a3827b62b01ccf5409df972d01ea11abecfdfe83",
+    "scgf": "536f8b6d1c2e67509468236a22734e24891158a71c5d4615a7c8791131ab842e",
+    "rate": "5928884d5ce2497eb96141ca3d06df3bd18fc36fd64a88d119c94a3fc06158a2",
+    "audit": "60ef3ed470724161b66b7be47b83ae9c430346758d3955784763b5303d42a39a",
+}
 
 
 def _exact_scgf_oracle(phi, sd, n, k, t, functional="conditional"):
@@ -209,6 +220,18 @@ def test_variance_audit(chain_potential, chain_spectral):
     assert out.empirical == pytest.approx(out.theory, rel=0.5)
 
 
+def test_variance_audit_memory_is_bounded(chain_potential, chain_spectral):
+    # replicas run in groups of about 2**20 symbols; as one group of 2**22
+    # symbols, this call's window codes and potential gather peaked near 69 MiB
+    tracemalloc.start()
+    try:
+        bt.variance_audit(chain_potential, 2**16, 64, seed=1, sd=chain_spectral)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20, f"peak {peak} bytes"
+
+
 def test_run_lln_structure(chain_spectral):
     config = bt.ExperimentConfig(
         potential=CHAIN_CONFIG, n_grid=(256, 1024), replicas=8, seed=9
@@ -275,6 +298,12 @@ def test_run_ldp_report_files(tmp_path):
     # timestamps never leak into the tables
     for name in expected_headers:
         assert "T" not in (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+    # the tables are byte-identical to the recorded example run
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+        for name in EXAMPLE_CSV_SHA256
+    }
+    assert digests == EXAMPLE_CSV_SHA256
 
 
 def test_run_ldp_audit_and_scgf_content(tmp_path):

@@ -228,6 +228,25 @@ def test_round_to_type_realizability_sweep(make_stationary):
         )
 
 
+@pytest.mark.parametrize(
+    "A, k, seed", [(2, 4, 21), (2, 5, 17), (2, 5, 21), (3, 5, 6), (3, 5, 21), (3, 5, 39)]
+)
+def test_round_to_type_lone_fractional_arc(A, k, seed):
+    # snapping near-integer arcs of these equilibrium laws left one
+    # fractional arc alone at a vertex, and the cycle walk raised
+    # StopIteration instead of rounding it
+    rng = np.random.default_rng(seed)
+    phi = bt.MarkovPotential(A, k, rng.uniform(0.5, 2) * rng.standard_normal(A**k))
+    nu = bt.equilibrium_blocks(bt.pressure(phi, 1.0), k)
+    n = 16 * A**k
+    mu = bt.round_to_type(nu, n)
+    assert bt.tv_distance(mu, nu) <= (k + 2) * A**k / n + 1e-12
+    counts = np.rint(mu.weights * n).astype(np.int64)
+    np.testing.assert_allclose(mu.weights * n, counts, atol=1e-6)
+    y = bt.realize_sample(bt.CountTable(A, k, n, counts))
+    np.testing.assert_array_equal(bt.block_counts(y, k, A), counts)
+
+
 def test_cycle_decompose_worked_example():
     nu = bt.BlockDistribution(2, 2, np.full(4, 0.25), stationary=True)
     parts = bt.cycle_decompose(nu)
