@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -29,6 +28,8 @@ from .entropy import plug_in_estimates
 from .harness import (
     ExperimentConfig,
     _effective_spectral,
+    _theory_u_grid,
+    _write_csv,
     potential_from_config,
     run_ldp,
     write_report,
@@ -198,33 +199,27 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
 def _cmd_rate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     phi, sd = _effective_spectral(config)
-    A = phi.alphabet_size
     os.makedirs(args.out, exist_ok=True)
 
     scgf_file = os.path.join(args.out, "scgf_theory.csv")
-    lines = ["t,entropy_scgf,information_scgf,relative_scgf"]
-    for t in config.t_grid:
-        lines.append(
-            f"{t:.12g},{entropy_scgf(phi, t):.12g},"
-            f"{information_scgf(phi, t):.12g},{relative_scgf(phi, t):.12g}"
-        )
-    with open(scgf_file, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        scgf_file,
+        "t,entropy_scgf,information_scgf,relative_scgf",
+        [
+            (t, entropy_scgf(phi, t), information_scgf(phi, t), relative_scgf(phi, t))
+            for t in config.t_grid
+        ],
+    )
 
     rate_file = os.path.join(args.out, "rate_theory.csv")
-    grid = (
-        np.asarray(config.u_grid, dtype=float)
-        if config.u_grid
-        else np.linspace(0.0, math.log(A), 21)
+    _write_csv(
+        rate_file,
+        "u,entropy_rate_theory,relative_rate_theory",
+        [
+            (u, entropy_rate_function(phi, u), relative_rate_function(phi, u))
+            for u in map(float, _theory_u_grid(config, phi.alphabet_size))
+        ],
     )
-    lines = ["u,entropy_rate_theory,relative_rate_theory"]
-    for u in grid:
-        lines.append(
-            f"{u:.12g},{entropy_rate_function(phi, float(u)):.12g},"
-            f"{relative_rate_function(phi, float(u)):.12g}"
-        )
-    with open(rate_file, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
     zero_temp, converged = zero_temperature_entropy(phi)
     _echo(
@@ -249,20 +244,22 @@ def _cmd_types_audit(args: argparse.Namespace) -> int:
         raise _CliError("exact type-class sizing is capped at n = 16")
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "types_audit.csv")
-    lines = ["n,k,type_id,exact_size,euler_lo,euler_hi,entropy_lo,entropy_hi"]
     types = enumerate_types(n, k, A)
+    rows = []
     for type_id, nu in enumerate(types):
         counts = np.rint(nu.weights * n).astype(np.int64)
         table = CountTable(A, k, n, counts)
         exact = type_class_size(table, mode="exact")
         bounds = type_class_size(table, mode="bounds")
-        lines.append(
-            f"{n},{k},{type_id},{exact},"
-            f"{float(bounds.euler_lower):.12g},{float(bounds.euler_upper):.12g},"
-            f"{bounds.entropy_lower:.12g},{bounds.entropy_upper:.12g}"
+        rows.append(
+            (n, k, type_id, exact, bounds.euler_lower, bounds.euler_upper,
+             bounds.entropy_lower, bounds.entropy_upper)
         )
-    with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        out_file,
+        "n,k,type_id,exact_size,euler_lo,euler_hi,entropy_lo,entropy_hi",
+        rows,
+    )
     _echo(
         {
             "n": n,

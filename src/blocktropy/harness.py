@@ -421,6 +421,22 @@ def exact_finite_scgf(
     functional F computed from cyclic k-block counts.  Feasible only while
     A**n stays at or below 2**22 strings.
     """
+    return _exact_finite_scgf_grid(phi, n, k, (t,), functional, sd)[0]
+
+
+def _exact_finite_scgf_grid(
+    phi: MarkovPotential,
+    n: int,
+    k: int,
+    t_grid: Sequence[float],
+    functional: str = "conditional",
+    sd: Optional[SpectralData] = None,
+) -> list[float]:
+    """``exact_finite_scgf`` at every t of a grid from one enumeration.
+
+    The strings, their counts, functionals and masses do not depend on t, so
+    each chunk is enumerated once and summed once per t.
+    """
     if not phi.normalized:
         raise ValueError("exact SCGF needs a normalized potential")
     A = phi.alphabet_size
@@ -444,7 +460,7 @@ def exact_finite_scgf(
         log_q = np.log(sd.vertex_stationary)
         log_kernel = np.log(sd.kernel).ravel()
 
-    chunk_sums: list[float] = []
+    chunk_sums: list[list[float]] = [[] for _ in t_grid]
     mass_sums: list[float] = []
     for x, counts in _chunked_count_matrices(n, k, A):
         values = functionals_from_counts(counts, n, k, rho_k)
@@ -453,11 +469,13 @@ def exact_finite_scgf(
         log_mass = log_q[path_codes[:, 0] // A] + log_kernel[path_codes].sum(
             axis=1
         )
-        chunk_sums.append(_logsumexp(log_mass + n * t * f_vals))
+        for sums, t in zip(chunk_sums, t_grid):
+            sums.append(_logsumexp(log_mass + n * t * f_vals))
         mass_sums.append(_logsumexp(log_mass))
     # Dividing by the enumerated total mass (exactly 1 in exact arithmetic)
     # cancels the shared rounding of the normalization, so t = 0 returns 0.0.
-    return (_logsumexp(np.array(chunk_sums)) - _logsumexp(np.array(mass_sums))) / n
+    log_total = _logsumexp(np.array(mass_sums))
+    return [(_logsumexp(np.array(sums)) - log_total) / n for sums in chunk_sums]
 
 
 def mc_scgf(
@@ -596,6 +614,14 @@ def variance_audit(
     return VarianceAudit(theory=theory, empirical=empirical, z=float(z))
 
 
+def _theory_u_grid(config: ExperimentConfig, alphabet_size: int) -> np.ndarray:
+    """Levels u of the theory rate curves: the config's ``u_grid``, or 21
+    equally spaced points on [0, ln A] when it is empty."""
+    if config.u_grid:
+        return np.asarray(config.u_grid, dtype=float)
+    return np.linspace(0.0, math.log(alphabet_size), 21)
+
+
 def run_ldp(config: ExperimentConfig) -> LdpReport:
     """Run the whole pipeline and assemble the report.
 
@@ -613,14 +639,14 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
         A**config.exact_n <= _EXACT_STRING_CAP
         and config.exact_n >= config.exact_k
     )
-    for index, t in enumerate(config.t_grid):
-        exact = (
-            exact_finite_scgf(
-                phi, config.exact_n, config.exact_k, t, config.functional, sd
-            )
-            if exact_ok
-            else None
+    exact_values: Sequence[Optional[float]] = (
+        _exact_finite_scgf_grid(
+            phi, config.exact_n, config.exact_k, config.t_grid, config.functional, sd
         )
+        if exact_ok
+        else [None] * len(config.t_grid)
+    )
+    for index, (t, exact) in enumerate(zip(config.t_grid, exact_values)):
         mc = mc_scgf(
             sd,
             config.scgf_n,
@@ -647,12 +673,8 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
         row.record.cond_entropy for row in lln_report.samples if row.n == n_max
     ]
     centers, emp_rates = empirical_rate(cond_values, n_max, config.bin_width)
-    if config.u_grid:
-        theory_grid = np.asarray(config.u_grid, dtype=float)
-    else:
-        theory_grid = np.linspace(0.0, math.log(A), 21)
     rate_points: dict[float, Optional[float]] = {
-        float(u): None for u in theory_grid
+        float(u): None for u in _theory_u_grid(config, A)
     }
     for center, emp in zip(centers, emp_rates):
         rate_points[float(center)] = float(emp)

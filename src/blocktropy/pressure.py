@@ -54,7 +54,8 @@ _NORMALIZED_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration failed to reach tolerance within the iteration cap."""
+    """A spectral solve failed: the dense eigensolve did not converge, the
+    equilibrium kernel underflowed, or the stationary solve was singular."""
 
 
 class ReducibilityError(ValueError):
@@ -116,7 +117,6 @@ class SpectralData:
     beta: float
     pressure: float
     right_vector: np.ndarray
-    left_vector: np.ndarray
     kernel: np.ndarray
     vertex_stationary: np.ndarray
     equilibrium: BlockDistribution
@@ -124,15 +124,22 @@ class SpectralData:
     potential_mean: float
 
 
-def transfer_matrix(phi: MarkovPotential, beta: float) -> np.ndarray:
-    """Dense V x V transfer matrix of beta*phi on (k-1)-word states."""
-    A, k = phi.alphabet_size, phi.k
-    V = A ** (k - 1)
+def _arc_matrix(weights: np.ndarray, A: int) -> np.ndarray:
+    """Dense V x V matrix holding each k-word's weight on its arc.
+
+    Word w runs from state w // A (its prefix) to state w % V (its suffix);
+    ``weights`` lists the A**k words in code order.
+    """
+    V = weights.size // A
     M = np.zeros((V, V))
-    weights = np.exp(beta * phi.values)
-    arcs = np.arange(A**k)
+    arcs = np.arange(weights.size)
     np.add.at(M, (arcs // A, arcs % V), weights)
     return M
+
+
+def transfer_matrix(phi: MarkovPotential, beta: float) -> np.ndarray:
+    """Dense V x V transfer matrix of beta*phi on (k-1)-word states."""
+    return _arc_matrix(np.exp(beta * phi.values), phi.alphabet_size)
 
 
 def _perron_eig(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -151,19 +158,13 @@ def _perron_eig(M: np.ndarray) -> tuple[float, np.ndarray]:
     lam = eigvals[top]
     if lam.real <= 0.0 or abs(lam.imag) > 1e-9 * lam.real:
         raise ReducibilityError("transfer matrix has no positive Perron root")
-    v = eigvecs[:, top]
-    pivot = v[int(np.argmax(np.abs(v)))]
-    if pivot == 0:
-        raise ReducibilityError("transfer matrix Perron vector is degenerate")
-    v = (v / pivot).real
-    s = float(v.sum())
-    if s <= 0.0 or not np.isfinite(s):
-        raise ReducibilityError("transfer matrix iterate lost positivity")
-    v = v / s
+    # An eigenvector of the Perron root is a complex multiple of the
+    # nonnegative Perron vector, so its moduli are that vector up to scale.
+    v = np.abs(eigvecs[:, top])
+    v = v / v.sum()
     # A few nonnegative matvecs repair components the eigensolver rendered
-    # at or below its noise floor (possibly as tiny negatives): every step
-    # is a nonnegative combination, structural zeros stay exactly zero, and
-    # the resolved components are already at the fixed point.
+    # at or below its noise floor: every step is a nonnegative combination,
+    # and the resolved components are already at the fixed point.
     for _ in range(max(2, M.shape[0])):
         v = M @ v
         s = float(v.sum())
@@ -213,22 +214,15 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
     V = A ** (k - 1)
     psi = beta * phi.values
     shift = float(psi.max())
-    shifted = MarkovPotential(A, k, psi - shift)
-    M = transfer_matrix(shifted, 1.0)
-    lam, r = _perron(M)
-    lam_left, ell = _perron(M.T)
-    if r.min() <= 0.0 or ell.min() <= 0.0:
+    weights = np.exp(psi - shift)
+    lam, r = _perron(_arc_matrix(weights, A))
+    if r.min() <= 0.0:
         raise ReducibilityError(
             "transfer matrix is numerically reducible (Perron vector touches zero)"
         )
-    ell = ell / float(ell @ r)
 
     arcs = np.arange(A**k)
-    kernel = (
-        np.exp(psi - shift).reshape(V, A)
-        * r[(arcs % V).reshape(V, A)]
-        / (lam * r[:, None])
-    )
+    kernel = weights.reshape(V, A) * r[(arcs % V).reshape(V, A)] / (lam * r[:, None])
     row_sums = kernel.sum(axis=1, keepdims=True)
     if np.any(row_sums <= 0) or not np.all(np.isfinite(row_sums)):
         raise ConvergenceError(
@@ -239,9 +233,7 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
     if V == 1:
         q = np.ones(1)
     else:
-        QV = np.zeros((V, V))
-        np.add.at(QV, (arcs // A, arcs % V), kernel.ravel())
-        lhs = np.eye(V) - QV.T
+        lhs = np.eye(V) - _arc_matrix(kernel.ravel(), A).T
         lhs[-1, :] = 1.0
         rhs = np.zeros(V)
         rhs[-1] = 1.0
@@ -265,7 +257,6 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
         beta=beta,
         pressure=math.log(lam) + shift,
         right_vector=r,
-        left_vector=ell,
         kernel=kernel,
         vertex_stationary=q,
         equilibrium=rho,
@@ -279,15 +270,21 @@ def normalize_potential(phi: MarkovPotential) -> tuple[MarkovPotential, float]:
 
     phi'(w) = phi(w) + ln r(suffix w) - ln r(prefix w) - P_top(phi) has the
     same equilibrium state as phi, pressure zero, and exp(phi') rows summing
-    to one.  Already-normalized potentials come back unchanged (the Perron
-    vector is constant and the pressure is zero).
+    to one.  Each row subtracts its own log-sum-exp, which equals P_top(phi)
+    in exact arithmetic, so the rows sum to one to rounding even where the
+    Perron vector carries relative error.  Already-normalized potentials
+    come back unchanged to rounding (the Perron vector is constant and every
+    row's log-sum-exp is zero).
     """
     sd = pressure(phi, 1.0)
     A, k = phi.alphabet_size, phi.k
     V = A ** (k - 1)
     log_r = np.log(sd.right_vector)
     arcs = np.arange(A**k)
-    values = phi.values + log_r[arcs % V] - log_r[arcs // A] - sd.pressure
+    rows = (phi.values + log_r[arcs % V] - log_r[arcs // A]).reshape(V, A)
+    top = rows.max(axis=1, keepdims=True)
+    log_sums = top + np.log(np.exp(rows - top).sum(axis=1, keepdims=True))
+    values = (rows - log_sums).ravel()
     return MarkovPotential(A, k, values, normalized=True), sd.pressure
 
 

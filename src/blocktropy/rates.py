@@ -30,6 +30,8 @@ from .pressure import (
     MarkovPotential,
     ReducibilityError,
     SpectralData,
+    _arc_matrix,
+    _perron,
     equilibrium_blocks,
     pressure,
     relative_entropy_rate,
@@ -140,14 +142,9 @@ def renyi_scgf(sd: SpectralData, t: float, n: int | None = None) -> float:
         raise ValueError("the Renyi route needs t > -1")
     s = 1.0 / (t + 1.0)
     A, k = sd.potential.alphabet_size, sd.potential.k
-    V = A ** (k - 1)
     powered = np.where(sd.kernel > 0, np.where(sd.kernel > 0, sd.kernel, 1.0) ** s, 0.0)
-    B = np.zeros((V, V))
-    arcs = np.arange(A**k)
-    np.add.at(B, (arcs // A, arcs % V), powered.ravel())
+    B = _arc_matrix(powered.ravel(), A)
     if n is None:
-        from .pressure import _perron
-
         lam, _ = _perron(B)
         return (t + 1.0) * math.log(lam)
     if n < k:
@@ -237,16 +234,13 @@ def entropy_rate_function(
     if u < h_floor:
         return -u - extreme_mean(phi, "max")
     lo, hi = 0.0, beta_cap
-    sd = pressure(phi, 0.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        sd_mid = pressure(phi, mid)
-        if sd_mid.entropy > u:
+        sd = pressure(phi, mid)
+        if sd.entropy > u:
             lo = mid
-            sd = sd_mid
         else:
             hi = mid
-            sd = sd_mid
         if hi - lo < 1e-12 * max(1.0, hi):
             break
     return max(0.0, -sd.potential_mean - u)

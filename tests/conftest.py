@@ -49,6 +49,17 @@ def _random_stationary(
 
 
 @pytest.fixture(scope="session")
+def tilt_reproducer() -> bt.MarkovPotential:
+    """Normalized primitive A = 4, k = 3 potential whose tilted spectra once
+    raised ReducibilityError at beta = 64 and 128 but not at 56, 80 or 96."""
+    rng = np.random.default_rng(3)
+    for size in (2, 2, 2, 8, 8, 8, 9, 9, 9):
+        rng.normal(scale=0.5, size=size)
+    raw = bt.MarkovPotential(4, 3, rng.normal(scale=0.5, size=64))
+    return bt.normalize_potential(raw)[0]
+
+
+@pytest.fixture(scope="session")
 def make_potential():
     return _random_potential
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -133,6 +134,26 @@ def test_rate_outputs(config_file, tmp_path, capsys):
     rate_lines = (out_dir / "rate_theory.csv").read_text().splitlines()
     assert rate_lines[0] == "u,entropy_rate_theory,relative_rate_theory"
     assert len(rate_lines) == 22  # default 21-point grid
+
+
+#: sha256 of the theory tables ``blocktropy rate`` writes for the example
+#: config, recorded before those tables moved onto the shared CSV writer.
+EXAMPLE_THEORY_SHA256 = {
+    "scgf_theory.csv": "eafebbb6cedc864ebc53aa35b0b95ba953a04bde5ab2cc1ab546f9f2700e1962",
+    "rate_theory.csv": "b7ddcf9821ec22563e58f0decef264f18081dde32b21aa4e54e0312993f10389",
+}
+
+
+def test_rate_outputs_example_digests(tmp_path, capsys):
+    out_dir = tmp_path / "rate"
+    argv = ["rate", "--config", "configs/ldp_example.json", "--out", str(out_dir)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in EXAMPLE_THEORY_SHA256
+    }
+    assert digests == EXAMPLE_THEORY_SHA256
 
 
 def test_types_audit_output(tmp_path, capsys):

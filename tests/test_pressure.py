@@ -77,6 +77,32 @@ def test_normalize_potential(chain_potential):
     assert zero == pytest.approx(0.0, abs=1e-12)
 
 
+def test_normalize_potential_wide_spread():
+    # spread 40 (A = 2, k = 3): each row is renormalized by its own
+    # log-sum-exp, so the result passes its own normalized check
+    for seed in range(20):
+        raw = bt.MarkovPotential(2, 3, np.random.default_rng(seed).uniform(-20, 20, 8))
+        phi, p_top = bt.normalize_potential(raw)
+        assert phi.normalization_defect() <= 1e-12, seed
+        sd_raw = bt.pressure(raw, 1.0)
+        assert p_top == sd_raw.pressure
+        rho = bt.pressure(phi, 1.0).equilibrium
+        assert bt.tv_distance(sd_raw.equilibrium, rho) < 1e-9, seed
+
+
+def test_pressure_strong_tilt_primitive(tilt_reproducer):
+    phi = tilt_reproducer
+    for beta in (56.0, 64.0, 80.0, 96.0, 128.0, 192.0, 256.0):
+        sd = bt.pressure(phi, beta)
+        assert np.isfinite(sd.pressure) and sd.right_vector.min() > 0.0, beta
+        # the right vector is a Perron vector of the shifted transfer matrix
+        psi = beta * phi.values
+        M = bt.transfer_matrix(bt.MarkovPotential(4, 3, psi - psi.max()), 1.0)
+        r = sd.right_vector
+        lam = math.exp(sd.pressure - psi.max())
+        assert np.max(np.abs(M @ r - lam * r)) <= 1e-12 * lam * r.max(), beta
+
+
 def test_potential_from_marginals_recovers_chain(chain_potential, chain_spectral):
     rho2 = bt.equilibrium_blocks(chain_spectral, 2)
     phi = bt.potential_from_marginals(rho2)

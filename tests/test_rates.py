@@ -189,6 +189,28 @@ def test_zero_temperature_entropy(chain_potential):
     assert conv_flat and h_flat == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_entropy_rate_function_strong_tilt(tilt_reproducer):
+    # the tilt probe once raised ReducibilityError here for every level u
+    for u in (0.0, 0.3, 0.7, 1.2):
+        value = bt.entropy_rate_function(tilt_reproducer, u)
+        assert math.isfinite(value) and value >= 0.0, u
+
+
+def test_zero_temperature_entropy_drawn_pool():
+    # normalized potentials drawn as in the rate benchmark pool; the (4, 3)
+    # draw only advances the stream
+    pool = np.random.default_rng(2004)
+    for A, k in ((2, 3), (3, 3), (4, 3), (2, 6)):
+        raw = bt.MarkovPotential(
+            A, k, pool.uniform(0.5, 2.0) * pool.standard_normal(A**k)
+        )
+        if (A, k) == (4, 3):
+            continue
+        phi = bt.normalize_potential(raw)[0]
+        h_inf, _ = bt.zero_temperature_entropy(phi)
+        assert -1e-9 <= h_inf <= math.log(A) + 1e-9, (A, k)
+
+
 def test_fixed_k_rate_lower(chain_potential):
     # the grid search over depth-limited competitors upper-bounds the true
     # rate and approaches it as the allowed depth grows
