@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -77,25 +77,6 @@ _EXACT_STRING_CAP = 1 << 22
 _STAGE_LLN = 1
 _STAGE_SCGF = 2
 _STAGE_VARIANCE = 3
-
-_CONFIG_KEYS = (
-    "potential",
-    "seed",
-    "beta",
-    "epsilon",
-    "n_grid",
-    "replicas",
-    "t_grid",
-    "u_grid",
-    "functional",
-    "exact_n",
-    "exact_k",
-    "scgf_n",
-    "scgf_replicas",
-    "bin_width",
-    "variance_n",
-    "variance_replicas",
-)
 
 
 @dataclass(frozen=True)
@@ -169,24 +150,15 @@ class ExperimentConfig:
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_json_dict(self) -> dict[str, object]:
-        return {
-            "potential": dict(self.potential),
-            "seed": self.seed,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "n_grid": list(self.n_grid),
-            "replicas": self.replicas,
-            "t_grid": list(self.t_grid),
-            "u_grid": list(self.u_grid),
-            "functional": self.functional,
-            "exact_n": self.exact_n,
-            "exact_k": self.exact_k,
-            "scgf_n": self.scgf_n,
-            "scgf_replicas": self.scgf_replicas,
-            "bin_width": self.bin_width,
-            "variance_n": self.variance_n,
-            "variance_replicas": self.variance_replicas,
-        }
+        out: dict[str, object] = {}
+        for key in _CONFIG_KEYS:
+            value = getattr(self, key)
+            out[key] = list(value) if isinstance(value, tuple) else value
+        out["potential"] = dict(self.potential)
+        return out
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
@@ -713,17 +685,7 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
         "sigma2_theory": var_audit.theory,
         "sigma2_empirical": var_audit.empirical,
         "variance_z": var_audit.z,
-        "lln": [
-            {
-                "n": row.n,
-                "k": row.k,
-                "mean_abs_dev": row.mean_abs_dev,
-                "median_abs_dev": row.median_abs_dev,
-                "median_cond": row.median_cond,
-                "reference_entropy": row.reference_entropy,
-            }
-            for row in lln_report.lln
-        ],
+        "lln": [asdict(row) for row in lln_report.lln],
         "max_audit_ratio": max(
             abs(row.residual) * row.n / row.k for row in audit_rows
         ),

@@ -383,18 +383,16 @@ def direct_pressure_estimate(phi: MarkovPotential, beta: float, n: int) -> float
     V = A ** (k - 1)
     psi = beta * phi.values
     shift = float(psi.max())
-    weights = np.exp(psi - shift).reshape(V, A)
+    M = _arc_matrix(np.exp(psi - shift), A)
     suffix = (np.arange(A**k) % V).reshape(V, A)
 
     f = np.ones(V)
     log_scale = 0.0
     for _ in range(n - k + 1):
-        g = np.zeros(V)
-        np.add.at(g, suffix.ravel(), (f[:, None] * weights).ravel())
-        s = float(g.sum())
-        g /= s
+        f = f @ M
+        s = float(f.sum())
+        f /= s
         log_scale += math.log(s)
-        f = g
 
     tail = np.zeros(V)
     for _ in range(k - 1):

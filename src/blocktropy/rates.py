@@ -344,28 +344,21 @@ def fixed_k_rate_lower(
         raise ValueError("fixed-k search supports alphabet size 2 and k_fixed <= 2")
     sd = pressure(phi, 1.0)
     rho_ref = equilibrium_blocks(sd, k_fixed)
-    best = math.inf
     if k_fixed == 1:
         g = grid_size or 2000
-        for i in range(1, g):
-            p = i / g
-            nu = BlockDistribution(2, 1, np.array([1.0 - p, p]), stationary=True)
-            if abs(measure_functional(functional, nu, rho_ref) - u) > tol:
-                continue
-            best = min(best, relative_entropy_rate(nu, phi))
+        p = np.arange(1, g) / g
+        laws = np.column_stack([1.0 - p, p])
     else:
         g = grid_size or 120
-        for i in range(1, g):
-            a = i / g  # P(1 | 0)
-            for j in range(1, g):
-                b = j / g  # P(0 | 1)
-                p0 = b / (a + b)
-                p1 = 1.0 - p0
-                w = np.array(
-                    [p0 * (1 - a), p0 * a, p1 * b, p1 * (1 - b)]
-                )
-                nu = BlockDistribution(2, 2, w, stationary=True)
-                if abs(measure_functional(functional, nu, rho_ref) - u) > tol:
-                    continue
-                best = min(best, relative_entropy_rate(nu, phi))
+        a, b = np.meshgrid(np.arange(1, g) / g, np.arange(1, g) / g, indexing="ij")
+        a, b = a.ravel(), b.ravel()  # a = P(1 | 0), b = P(0 | 1)
+        p0 = b / (a + b)
+        p1 = 1.0 - p0
+        laws = np.column_stack([p0 * (1 - a), p0 * a, p1 * b, p1 * (1 - b)])
+    best = math.inf
+    for w in laws:
+        nu = BlockDistribution(2, k_fixed, w, stationary=True)
+        if abs(measure_functional(functional, nu, rho_ref) - u) > tol:
+            continue
+        best = min(best, relative_entropy_rate(nu, phi))
     return best

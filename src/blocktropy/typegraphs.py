@@ -94,7 +94,7 @@ class CountTable:
 
     def out_degrees(self) -> np.ndarray:
         """Total count of words starting at each (k-1)-word vertex."""
-        return self.counts.reshape(self.vertex_count, self.alphabet_size).sum(axis=1)
+        return self._degrees(self.counts)[0]
 
     def to_distribution(self) -> BlockDistribution:
         return BlockDistribution(
@@ -114,28 +114,17 @@ def components(table: CountTable) -> list[list[int]]:
 
     Only vertices with nonzero degree are considered.  Components are
     returned as sorted vertex lists, ordered by their smallest vertex.
-    For balanced tables weak and strong connectivity coincide.
+    For balanced tables weak and strong connectivity coincide, so each
+    component is the set reached from its smallest vertex.
     """
-    A, V = table.alphabet_size, table.vertex_count
-    adj: dict[int, set[int]] = {}
-    for w in np.flatnonzero(table.counts):
-        u, v = int(w) // A, int(w) % V
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    A, k, counts = table.alphabet_size, table.k, table.counts.tolist()
+    comps: list[list[int]] = []
     seen: set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adj[u] - comp)
-        seen |= comp
-        comps.append(sorted(comp))
+    for start in np.flatnonzero(table.out_degrees()).tolist():
+        if start not in seen:
+            comp = sorted(_support_bfs(counts, start, A, k))
+            seen.update(comp)
+            comps.append(comp)
     return comps
 
 
@@ -361,64 +350,74 @@ def _find_fractional_cycle(
         visited_at[at] = len(path)
 
 
+def _support_bfs(
+    z: list[float], source: int, alphabet_size: int, k: int, target: Optional[int] = None
+) -> dict[int, tuple[int, int]]:
+    """Breadth-first search from ``source`` over the support arcs of ``z``.
+
+    ``z`` lists the arc weights (a list: indexing one is much faster than
+    indexing an array); support arcs are those above 1e-13, and at every
+    vertex the smallest appended symbol is tried first.  Returns, for each
+    vertex reached, the (vertex, arc) that first reached it.  An arc back
+    into ``source`` is recorded but ``source`` is not searched again; the
+    search stops as soon as ``target`` is reached.
+    """
+    A, V = alphabet_size, alphabet_size ** (k - 1)
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for arc in range(u * A, u * A + A):
+                v = arc % V
+                if z[arc] <= 1e-13 or v in parent:
+                    continue
+                parent[v] = (u, arc)
+                if v == target:
+                    return parent
+                if v != source:
+                    nxt.append(v)
+        frontier = nxt
+    return parent
+
+
+def _shortest_path_arcs(
+    z: list[float], source: int, target: int, alphabet_size: int, k: int
+) -> list[int]:
+    """Arc codes of a shortest directed support path source -> target.
+
+    When source == target the path is a shortest cycle through source.
+    """
+    parent = _support_bfs(z, source, alphabet_size, k, target)
+    if target not in parent:
+        raise ValueError("support is not strongly connected along the needed path")
+    path = []
+    at = target
+    while True:
+        at, arc = parent[at]
+        path.append(arc)
+        if at == source:
+            path.reverse()
+            return path
+
+
 def _shortest_support_cycle(
     z: np.ndarray, alphabet_size: int, k: int
 ) -> list[int]:
     """Arc codes of a shortest directed cycle in the support of ``z``.
 
-    Self-loops win outright; otherwise a breadth-first search from every
-    arc's head back to its tail, smallest start vertex and smallest symbols
-    first, keeps the choice deterministic.
+    Self-loops win outright; otherwise the first shortest of the cycles
+    through each support vertex, smallest vertex first, keeps the choice
+    deterministic.
     """
     A, V = alphabet_size, alphabet_size ** (k - 1)
     support = np.flatnonzero(z > 0)
-    if support.size == 0:
-        raise ValueError("no cycle: empty support")
     loops = [int(w) for w in support if w // A == w % V]
     if loops:
         return [loops[0]]
-    out_arcs: dict[int, list[int]] = {}
-    for w in support:
-        out_arcs.setdefault(int(w) // A, []).append(int(w))
-    best: Optional[list[int]] = None
-    for start in sorted(out_arcs):
-        # BFS over vertices, tracking the arc used to reach each one
-        parent: dict[int, tuple[int, int]] = {}
-        frontier = [start]
-        seen = {start}
-        found = False
-        while frontier and not found:
-            nxt: list[int] = []
-            for u in frontier:
-                for w in out_arcs.get(u, ()):
-                    v = w % V
-                    if v == start:
-                        parent[start] = (u, w)
-                        found = True
-                        break
-                    if v not in seen:
-                        seen.add(v)
-                        parent[v] = (u, w)
-                        nxt.append(v)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
-            continue
-        cycle = []
-        at = start
-        while True:
-            u, w = parent[at]
-            cycle.append(w)
-            at = u
-            if at == start:
-                break
-        cycle.reverse()
-        if best is None or len(cycle) < len(best):
-            best = cycle
-    if best is None:
-        raise ValueError("no directed cycle in support")
-    return best
+    weights = z.tolist()
+    tails = sorted({w // A for w in support.tolist()})
+    return min((_shortest_path_arcs(weights, u, u, A, k) for u in tails), key=len)
 
 
 def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
@@ -534,11 +533,17 @@ class CycleMeasure:
 def cycle_decompose(nu: BlockDistribution) -> list[tuple[float, CycleMeasure]]:
     """Write a stationary law as a convex combination of cycle measures.
 
-    Repeatedly takes a smallest-weight support arc, closes it into a
-    vertex-simple cycle through the support (breadth-first, smallest
-    symbols first), and subtracts that smallest weight from the whole
-    cycle — zeroing at least one arc per round, so at most A**k rounds.
-    The recombination error is at most the residual mass threshold 1e-11.
+    Repeatedly takes a smallest-weight arc of the support (arcs above
+    1e-13), closes it into a vertex-simple cycle through the support
+    (breadth-first, smallest symbols first), and subtracts that smallest
+    weight from the whole cycle.  An arc that no support path closes is
+    dropped into the residual instead: it enters a vertex set that only
+    sub-threshold arcs leave, so by balance it carries at most A**k * 1e-13
+    plus the input's stationarity defect summed over that set.  Each round
+    zeroes at least one support arc, so there are at most A**k rounds, and
+    they stop once the residual mass is at most 1e-11 or no support arc is
+    left.  The recombination error (L1) is that residual plus the dropped
+    weights.
     """
     if not nu.stationary:
         raise ValueError("cycle decomposition requires a stationary distribution")
@@ -546,62 +551,20 @@ def cycle_decompose(nu: BlockDistribution) -> list[tuple[float, CycleMeasure]]:
     V = A ** (k - 1)
     w = nu.weights.copy()
     parts: list[tuple[float, CycleMeasure]] = []
-    residual_tol = 1e-11
-    for _ in range(w.size + 1):
-        total = float(w.sum())
-        if total <= residual_tol:
-            break
-        masked = np.where(w > 1e-13, w, np.inf)
-        a = int(np.argmin(masked))
+    while float(w.sum()) > 1e-11 and np.any(w > 1e-13):
+        a = int(np.argmin(np.where(w > 1e-13, w, np.inf)))
         m = float(w[a])
         head, tail = a % V, a // A
-        if head == tail:
-            cycle = [a]
-        else:
-            path = _shortest_path_arcs(w, head, tail, A, k)
-            cycle = [a] + path
-        for arc in cycle:
-            w[arc] -= m
         w[a] = 0.0
-        np.clip(w, 0.0, None, out=w)
+        try:
+            path = [] if head == tail else _shortest_path_arcs(w.tolist(), head, tail, A, k)
+        except ValueError:
+            continue  # no support path closes a: its weight stays in the residual
+        # every path arc weighs at least m, so no weight goes negative
+        w[path] -= m
+        cycle = [a] + path
         parts.append((m * len(cycle), CycleMeasure(A, k, tuple(cycle))))
-    else:
-        raise RuntimeError("cycle decomposition failed to terminate")
     return parts
-
-
-def _shortest_path_arcs(
-    z: np.ndarray, source: int, target: int, alphabet_size: int, k: int
-) -> list[int]:
-    """Arc codes of a shortest directed support path source -> target (BFS,
-    smallest appended symbol first)."""
-    A, V = alphabet_size, alphabet_size ** (k - 1)
-    parent: dict[int, tuple[int, int]] = {}
-    frontier, seen = [source], {source}
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for b in range(A):
-                arc = u * A + b
-                if z[arc] <= 1e-13:
-                    continue
-                v = arc % V
-                if v in seen:
-                    continue
-                seen.add(v)
-                parent[v] = (u, arc)
-                if v == target:
-                    path = []
-                    at = v
-                    while at != source:
-                        pu, pw = parent[at]
-                        path.append(pw)
-                        at = pu
-                    path.reverse()
-                    return path
-                nxt.append(v)
-        frontier = nxt
-    raise ValueError("support is not strongly connected along the needed path")
 
 
 @lru_cache(maxsize=None)

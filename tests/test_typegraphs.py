@@ -179,10 +179,50 @@ def test_realize_sample_rejects_empty():
         bt.realize_sample(empty)
 
 
+def _union_components(counts, A, k):
+    """Undirected union-find over the support arcs, as sorted vertex lists."""
+    V = A ** (k - 1)
+    root = list(range(V))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    touched = set()
+    for w in np.flatnonzero(counts):
+        u, v = int(w) // A, int(w) % V
+        touched |= {u, v}
+        root[find(u)] = find(v)
+    groups = {}
+    for u in sorted(touched):
+        groups.setdefault(find(u), []).append(u)
+    return sorted(groups.values())
+
+
 def test_components_ordering():
     loops = bt.CountTable(2, 2, 4, np.array([2, 0, 0, 2]))
     comps = bt.components(loops)
     assert comps == [[0], [1]]
+    # sums of cycle tables on disjoint vertex sets: several components each
+    rng = np.random.default_rng(10)
+    multi = 0
+    for A, k in ((2, 3), (2, 4), (3, 2), (3, 3)):
+        cycles = bt.enumerate_simple_cycles(A, k)
+        for _ in range(40):
+            counts = np.zeros(A**k, dtype=np.int64)
+            used: set[int] = set()
+            for i in rng.permutation(len(cycles))[:6]:
+                verts = {w // A for w in cycles[i]}
+                if verts & used:
+                    continue
+                used |= verts
+                counts[list(cycles[i])] += int(rng.integers(1, 4))
+            table = bt.CountTable(A, k, int(counts.sum()), counts)
+            comps = bt.components(table)
+            assert comps == _union_components(counts, A, k)
+            multi += len(comps) > 1
+    assert multi >= 40
 
 
 def test_round_to_type_worked_examples(chain_spectral):
@@ -283,6 +323,22 @@ def test_cycle_decompose_properties(make_stationary):
             # zero conditional entropy, exactly
             assert bt.conditional_block_entropy(cyc.distribution) == 0.0
         np.testing.assert_allclose(recombined, nu.weights, atol=1e-10)
+
+
+@pytest.mark.parametrize("k, seed", [(4, 51), (4, 101), (5, 13), (5, 46), (5, 63)])
+def test_cycle_decompose_sub_threshold_weights(k, seed):
+    # these equilibrium laws have arcs below the 1e-13 support threshold,
+    # so some support arc has no return path through the arcs above it
+    rng = np.random.default_rng(seed)
+    phi = bt.MarkovPotential(3, k, rng.uniform(0.5, 2) * rng.standard_normal(3**k))
+    nu = bt.equilibrium_blocks(bt.pressure(phi, 1.0), k)
+    parts = bt.cycle_decompose(nu)
+    assert len(parts) <= 3**k
+    recombined = np.zeros(3**k)
+    for weight, cyc in parts:
+        assert bt.conditional_block_entropy(cyc.distribution) == 0.0
+        recombined += weight * cyc.distribution.weights
+    assert np.max(np.abs(recombined - nu.weights)) <= 1e-10
 
 
 def test_cycle_measure_validation():
