@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -79,6 +80,11 @@ _STAGE_SCGF = 2
 _STAGE_VARIANCE = 3
 
 
+def _is_int(value: object) -> bool:
+    """True for Python and numpy integers, False for bool, float and str."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one full experiment run."""
@@ -103,6 +109,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.potential, Mapping):
             raise ValueError("potential must be a mapping")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.n_grid, Sequence) or not all(map(_is_int, self.n_grid)):
+            raise ValueError(f"n_grid must list integers, got {self.n_grid!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if not math.isfinite(self.beta):
@@ -145,7 +157,9 @@ class ExperimentConfig:
                 continue
             value = data[key]
             if key in ("n_grid", "t_grid", "u_grid"):
-                value = tuple(value)  # type: ignore[arg-type]
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {value!r}")
+                value = tuple(value)
             kwargs[key] = value
         return cls(**kwargs)  # type: ignore[arg-type]
 
@@ -159,6 +173,7 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
 
 
 def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
@@ -171,8 +186,14 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
     exponential) or "normalize": true (fold the correction in here).
     """
     kind = spec.get("type")
+
+    def entry(key: str) -> object:
+        if key not in spec:
+            raise ValueError(f"{kind} potential needs a {key!r} entry")
+        return spec[key]
+
     if kind == "markov":
-        rows = np.asarray(spec["transition"], dtype=float)
+        rows = np.asarray(entry("transition"), dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("transition must be a square matrix")
         if rows.shape[0] < 2:
@@ -186,7 +207,7 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
             rows.shape[0], 2, np.log(rows).ravel(), normalized=True
         )
     if kind == "bernoulli":
-        p = np.asarray(spec["p"], dtype=float)
+        p = np.asarray(entry("p"), dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("p must list at least 2 probabilities")
         if np.any(p <= 0):
@@ -196,9 +217,9 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
         p = p / p.sum()
         return MarkovPotential(p.size, 1, np.log(p), normalized=True)
     if kind == "values":
-        alphabet_size = int(spec["alphabet_size"])
-        k = int(spec["k"])
-        values = np.asarray(spec["values"], dtype=float)
+        alphabet_size = int(entry("alphabet_size"))
+        k = int(entry("k"))
+        values = np.asarray(entry("values"), dtype=float)
         if bool(spec.get("normalized", False)):
             return MarkovPotential(alphabet_size, k, values, normalized=True)
         raw = MarkovPotential(alphabet_size, k, values)
@@ -607,10 +628,7 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     lln_report = run_lln(config)
 
     scgf_rows: list[ScgfRow] = []
-    exact_ok = (
-        A**config.exact_n <= _EXACT_STRING_CAP
-        and config.exact_n >= config.exact_k
-    )
+    exact_ok = A**config.exact_n <= _EXACT_STRING_CAP
     exact_values: Sequence[Optional[float]] = (
         _exact_finite_scgf_grid(
             phi, config.exact_n, config.exact_k, config.t_grid, config.functional, sd

@@ -137,6 +137,23 @@ def _arc_matrix(weights: np.ndarray, A: int) -> np.ndarray:
     return M
 
 
+def _scaled_power(
+    row: np.ndarray, M: np.ndarray, steps: int
+) -> tuple[np.ndarray, float]:
+    """``row @ M**steps``, rescaled to sum one after every step.
+
+    Returns the rescaled row and the log of the product of the sums it was
+    divided by, so row * exp(log_scale) is the unscaled product.
+    """
+    log_scale = 0.0
+    for _ in range(steps):
+        row = row @ M
+        total = float(row.sum())
+        row /= total
+        log_scale += math.log(total)
+    return row, log_scale
+
+
 def transfer_matrix(phi: MarkovPotential, beta: float) -> np.ndarray:
     """Dense V x V transfer matrix of beta*phi on (k-1)-word states."""
     return _arc_matrix(np.exp(beta * phi.values), phi.alphabet_size)
@@ -386,13 +403,7 @@ def direct_pressure_estimate(phi: MarkovPotential, beta: float, n: int) -> float
     M = _arc_matrix(np.exp(psi - shift), A)
     suffix = (np.arange(A**k) % V).reshape(V, A)
 
-    f = np.ones(V)
-    log_scale = 0.0
-    for _ in range(n - k + 1):
-        f = f @ M
-        s = float(f.sum())
-        f /= s
-        log_scale += math.log(s)
+    f, log_scale = _scaled_power(np.ones(V), M, n - k + 1)
 
     tail = np.zeros(V)
     for _ in range(k - 1):

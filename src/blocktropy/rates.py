@@ -32,6 +32,7 @@ from .pressure import (
     SpectralData,
     _arc_matrix,
     _perron,
+    _scaled_power,
     equilibrium_blocks,
     pressure,
     relative_entropy_rate,
@@ -54,19 +55,14 @@ __all__ = [
     "zero_temperature_entropy",
 ]
 
-#: Default bisection ceiling for inverse-temperature searches.
+#: Bisection ceiling for inverse-temperature searches.
 _BETA_MAX = 256.0
+
+#: Second-difference step of the asymptotic-variance curvature estimate.
+_VARIANCE_STEP = 1e-3
 
 #: Betas used for the zero-temperature (large-beta) entropy estimate.
 _ZERO_TEMP_BETAS = (64.0, 128.0, 256.0)
-
-_CURVE_KINDS = (
-    "entropy_rate",
-    "relative_rate",
-    "entropy_scgf",
-    "information_scgf",
-    "relative_scgf",
-)
 
 
 def _require_normalized(phi: MarkovPotential) -> None:
@@ -152,12 +148,7 @@ def renyi_scgf(sd: SpectralData, t: float, n: int | None = None) -> float:
     with np.errstate(divide="ignore"):
         row = np.exp(s * np.log(np.maximum(sd.vertex_stationary, 0.0)))
     row = np.where(sd.vertex_stationary > 0, row, 0.0)
-    log_scale = 0.0
-    for _ in range(n - k + 1):
-        row = row @ B
-        total = float(row.sum())
-        row /= total
-        log_scale += math.log(total)
+    row, log_scale = _scaled_power(row, B, n - k + 1)
     return (t + 1.0) * (math.log(float(row.sum())) + log_scale) / n
 
 
@@ -191,17 +182,15 @@ def zero_temperature_entropy(phi: MarkovPotential) -> tuple[float, bool]:
     return h[2], gap < 1e-4
 
 
-def _largest_feasible_tilt(
-    phi: MarkovPotential, beta_max: float
-) -> tuple[float, SpectralData]:
-    """Largest tilt in (0, beta_max] with a computable transfer spectrum.
+def _largest_feasible_tilt(phi: MarkovPotential) -> tuple[float, SpectralData]:
+    """Largest tilt in (0, _BETA_MAX] with a computable transfer spectrum.
 
     Strong tilting underflows transfer-matrix entries once beta times the
     potential's spread nears the float64 exponent range, at which point the
     matrix is numerically reducible.  Halving back into the feasible range
     costs only an exponentially small tail of the zero-temperature limit.
     """
-    beta = float(beta_max)
+    beta = _BETA_MAX
     while True:
         try:
             return beta, pressure(phi, beta)
@@ -211,15 +200,13 @@ def _largest_feasible_tilt(
             beta *= 0.5
 
 
-def entropy_rate_function(
-    phi: MarkovPotential, u: float, beta_max: float = _BETA_MAX
-) -> float:
+def entropy_rate_function(phi: MarkovPotential, u: float) -> float:
     """Rate function for deviations of the conditional-entropy estimator.
 
     On [h_inf, ln A] the unique beta with h(rho_beta) = u is found by
     bisection (h is monotone in beta) and the rate is the relative entropy
     -E_{rho_beta}[phi] - u.  Below the zero-temperature entropy h_inf
-    (estimated at the largest numerically feasible tilt up to beta_max)
+    (estimated at the largest numerically feasible tilt up to _BETA_MAX)
     the rate continues linearly as -u - maxmean(phi); outside [0, ln A]
     the level is unreachable and the rate is +inf.
     """
@@ -229,7 +216,7 @@ def entropy_rate_function(
     if u < -slack or u > ln_a + slack:
         return math.inf
     u = min(max(u, 0.0), ln_a)
-    beta_cap, sd_cap = _largest_feasible_tilt(phi, beta_max)
+    beta_cap, sd_cap = _largest_feasible_tilt(phi)
     h_floor = sd_cap.entropy
     if u < h_floor:
         return -u - extreme_mean(phi, "max")
@@ -257,6 +244,17 @@ def relative_rate_function(phi: MarkovPotential, u: float) -> float:
     return min(max(u, 0.0), endpoint)
 
 
+#: The curves ``rate_curve`` tabulates, by kind.
+_CURVES = {
+    "entropy_rate": entropy_rate_function,
+    "relative_rate": relative_rate_function,
+    "entropy_scgf": entropy_scgf,
+    "information_scgf": information_scgf,
+    "relative_scgf": relative_scgf,
+}
+_CURVE_KINDS = tuple(_CURVES)
+
+
 @dataclass(frozen=True)
 class RateCurve:
     """A rate function or SCGF tabulated on a grid (values may be inf)."""
@@ -282,13 +280,7 @@ def rate_curve(
     phi: MarkovPotential, kind: str, grid: np.ndarray | list[float]
 ) -> RateCurve:
     """Tabulate one of the named rate functions / SCGFs on a grid."""
-    fn = {
-        "entropy_rate": entropy_rate_function,
-        "relative_rate": relative_rate_function,
-        "entropy_scgf": entropy_scgf,
-        "information_scgf": information_scgf,
-        "relative_scgf": relative_scgf,
-    }[kind]
+    fn = _CURVES[kind]
     values = [fn(phi, float(x)) for x in grid]
     return RateCurve(kind, np.asarray(grid, dtype=float), np.asarray(values))
 
@@ -301,13 +293,12 @@ def legendre(curve: RateCurve, x: float) -> float:
     return float(np.max(x * curve.grid[finite] - curve.values[finite]))
 
 
-def asymptotic_variance(
-    phi: MarkovPotential, route: str = "information", step: float = 1e-3
-) -> float:
+def asymptotic_variance(phi: MarkovPotential, route: str = "information") -> float:
     """Central-limit variance of Birkhoff sums of phi, as the curvature at
     zero of an SCGF.
 
-    Richardson-extrapolated central second difference (steps h and h/2) of
+    Richardson-extrapolated central second difference (steps h and h/2,
+    h = _VARIANCE_STEP) of
     ``information_scgf`` by default; ``route="entropy"`` differentiates
     ``entropy_scgf`` instead, and the two must agree (same curvature).
     """
@@ -317,7 +308,8 @@ def asymptotic_variance(
     def second_diff(h: float) -> float:
         return (fn(phi, h) - 2.0 * fn(phi, 0.0) + fn(phi, -h)) / (h * h)
 
-    return (4.0 * second_diff(step / 2.0) - second_diff(step)) / 3.0
+    h = _VARIANCE_STEP
+    return (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
 
 
 def fixed_k_rate_lower(

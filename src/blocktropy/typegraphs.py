@@ -17,7 +17,6 @@ combination of simple-cycle measures.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -288,66 +287,41 @@ def type_class_size(table: CountTable, mode: str = "exact"):
 # ---------------------------------------------------------------------------
 
 
-def _arc_endpoints(w: int, alphabet_size: int, k: int) -> tuple[int, int]:
-    V = alphabet_size ** (k - 1)
-    return w // alphabet_size, w % V
-
-
-def _snap_lone_arcs(
-    z: np.ndarray, frac_arcs: list[int], alphabet_size: int, k: int
-) -> list[int]:
-    """Round off fractional arcs that are alone at an endpoint; return the rest.
-
-    Balance at that endpoint forces such an arc to an integer, so its
-    fractional part is drift left by snapping its neighbours, and the cycle
-    walk would dead-end on it.  Repeats until no non-loop fractional arc is
-    alone at either endpoint.
-    """
-    while True:
-        ends = {w: _arc_endpoints(w, alphabet_size, k) for w in frac_arcs}
-        slots = Counter(e for u, v in ends.values() if u != v for e in (u, v))
-        lone = [w for w, (u, v) in ends.items() if u != v and 1 in (slots[u], slots[v])]
-        if not lone:
-            return frac_arcs
-        z[lone] = np.round(z[lone])
-        frac_arcs = [w for w in frac_arcs if w not in lone]
-
-
 def _find_fractional_cycle(
-    frac_arcs: list[int], alphabet_size: int, k: int
+    frac: np.ndarray, alphabet_size: int, k: int
 ) -> list[tuple[int, int]]:
-    """An undirected cycle among the given arcs, as (arc, direction) pairs.
+    """An undirected cycle among the arcs flagged in ``frac``, as (arc, direction).
 
     Direction +1 means the arc is traversed from its tail to its head.
-    Every vertex incident to a fractional arc of a balanced circulation has
-    at least two incident fractional arc-slots, so a cycle always exists;
-    self-loops count as cycles of length one.
+    Incidence is read off the codes, with no adjacency built: arc w runs
+    from w // A to w % V, so vertex u's out-arcs are u*A .. u*A+A-1 and its
+    in-arcs are u, u+V, u+2V, ...  A fractional self-loop, lowest code
+    first, is a cycle of length one.  Otherwise the walk starts at the
+    smallest endpoint of a fractional arc and at each vertex leaves by the
+    smallest fractional code among its out-arcs (direction +1) and in-arcs
+    (direction -1), other than the arc it arrived by, until it first
+    returns to a vertex it has visited.  The caller has rounded every arc
+    alone at an endpoint, so the walk always has a way out.
     """
-    A = alphabet_size
-    for w in frac_arcs:
-        u, v = _arc_endpoints(w, A, k)
-        if u == v:
-            return [(w, +1)]
-    # vertex -> list of (arc, other endpoint, direction when leaving here)
-    incid: dict[int, list[tuple[int, int, int]]] = {}
-    for w in frac_arcs:
-        u, v = _arc_endpoints(w, A, k)
-        incid.setdefault(u, []).append((w, v, +1))
-        incid.setdefault(v, []).append((w, u, -1))
-    start = min(incid)
+    A, V = alphabet_size, alphabet_size ** (k - 1)
+    arcs = np.flatnonzero(frac)
+    tails, heads = arcs // A, arcs % V
+    loops = arcs[tails == heads]
+    if loops.size:
+        return [(int(loops[0]), +1)]
+    is_frac = frac.tolist()
+    at = int(min(tails.min(), heads.min()))
+    stops: list[int] = []  # path[i] leaves stops[i]
     path: list[tuple[int, int]] = []  # (arc, direction)
-    at = start
-    prev_arc = -1
-    visited_at: dict[int, int] = {start: 0}
-    while True:
-        arc, nxt, direction = next(
-            (w, v, d) for (w, v, d) in incid[at] if w != prev_arc
-        )
-        path.append((arc, direction))
-        at, prev_arc = nxt, arc
-        if at in visited_at:
-            return path[visited_at[at] :]
-        visited_at[at] = len(path)
+    arc = -1  # the arc the walk arrived by
+    while at not in stops:
+        stops.append(at)
+        incident = sorted((*range(at * A, at * A + A), *range(at, A * V, V)))
+        arc = next(w for w in incident if is_frac[w] and w != arc)
+        d = +1 if arc // A == at else -1
+        path.append((arc, d))
+        at = arc % V if d > 0 else arc // A
+    return path[stops.index(at) :]
 
 
 def _support_bfs(
@@ -427,10 +401,16 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
     around cycles of fractional arcs, never letting an arc cross an integer,
     so every count lands on floor or ceil of its target (balance is
     preserved by construction; push directions steer the total toward n).
-    Stage 2 repairs any leftover total-mass mismatch one unit at a time
-    (extra units on the all-zeros self-loop, removals along shortest
-    support cycles).  Stage 3 restores realizability for disconnected
-    supports by round-tripping through an Eulerian concatenation.
+    Each round snaps near-integers, then rounds every non-loop fractional
+    arc that is the only one at one of its endpoints (balance there forces
+    it to an integer) if there are any, and otherwise pushes around the
+    cycle that :func:`_find_fractional_cycle` walks, by the largest step
+    that keeps every arc of it between its floor and ceil.  Every round
+    makes at least one more arc integral.  Stage 2 repairs any leftover
+    total-mass mismatch (missing units go on the all-zeros self-loop in one
+    add, surplus units come off along shortest support cycles).  Stage 3
+    restores realizability for disconnected supports by round-tripping
+    through an Eulerian concatenation.
 
     The result is realizable and within (k+2)*A**k/n of ``nu`` in total
     variation.
@@ -451,34 +431,39 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
             z[w] += 1
     else:
         z = target.copy()
+        V = A ** (k - 1)
+        arcs = np.arange(z.size)
+        tail, head = arcs // A, arcs % V
+        loop = tail == head
         snap_tol = 1e-9 * max(1.0, float(n))
         for _ in range(z.size + 1):
             nearest = np.round(z)
-            z[np.abs(z - nearest) <= snap_tol] = nearest[np.abs(z - nearest) <= snap_tol]
-            frac_arcs = [int(w) for w in np.flatnonzero(np.abs(z - np.round(z)) > snap_tol)]
-            frac_arcs = _snap_lone_arcs(z, frac_arcs, A, k)
-            if not frac_arcs:
+            near = np.abs(z - nearest) <= snap_tol
+            z[near] = nearest[near]
+            frac = np.abs(z - np.round(z)) > snap_tol
+            # a non-loop fractional arc alone at an endpoint is forced to an
+            # integer by balance there; round it rather than walk onto it
+            free = frac & ~loop
+            slots = np.bincount(np.concatenate((tail[free], head[free])), minlength=V)
+            lone = free & ((slots[tail] == 1) | (slots[head] == 1))
+            if lone.any():
+                z[lone] = np.round(z[lone])
+                continue
+            if not frac.any():
                 break
-            cycle = _find_fractional_cycle(frac_arcs, A, k)
-            up_room = min(
-                (math.ceil(z[w]) - z[w]) if d > 0 else (z[w] - math.floor(z[w]))
-                for w, d in cycle
-            )
-            down_room = min(
-                (z[w] - math.floor(z[w])) if d > 0 else (math.ceil(z[w]) - z[w])
-                for w, d in cycle
-            )
+            cycle = _find_fractional_cycle(frac, A, k)
             mass_coeff = sum(d for _, d in cycle)
-            deficit = n - z.sum()
-            sign = 1.0 if mass_coeff * deficit >= 0 else -1.0
-            step = up_room if sign > 0 else down_room
+            sign = 1.0 if mass_coeff * (n - z.sum()) >= 0 else -1.0
+            step = min(
+                (math.ceil(z[w]) - z[w]) if sign * d > 0 else (z[w] - math.floor(z[w]))
+                for w, d in cycle
+            )
             for w, d in cycle:
                 z[w] += sign * d * step
         z = np.round(z).astype(np.int64)
 
         # total-mass repair (stage 1 can only land within a few units of n)
-        while z.sum() < n:
-            z[0] += 1  # self-loop at the all-zeros word
+        z[0] += max(0, n - int(z.sum()))  # self-loop at the all-zeros word
         while z.sum() > n:
             cycle = _shortest_support_cycle(z, A, k)
             if z.sum() - len(cycle) < n:

@@ -68,6 +68,23 @@ def test_exit_code_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"potential": {"type": "markov"}},
+        {"potential": {"type": "values", "alphabet_size": 2, "k": 2}},
+        {"n_grid": 5},
+        {"replicas": "3"},
+        {"seed": 1.5},
+    ],
+)
+def test_exit_code_malformed_config(tmp_path, capsys, entries):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"potential": CHAIN_CONFIG, **entries}))
+    assert main(["ldp", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_exit_code_numeric_failure(config_file, capsys):
     assert main(["pressure", "--config", config_file, "--beta", "10000"]) == 2
     assert "numeric failure" in capsys.readouterr().err

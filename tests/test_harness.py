@@ -78,6 +78,9 @@ def test_config_round_trip_and_unknown_keys():
         {"bin_width": 0.0},
         {"variance_n": 1},
         {"variance_replicas": 1},
+        {"n_grid": 5},
+        {"replicas": "3"},
+        {"seed": 1.5},
     ],
 )
 def test_config_validation(override):

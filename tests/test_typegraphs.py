@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -285,6 +286,33 @@ def test_round_to_type_lone_fractional_arc(A, k, seed):
     np.testing.assert_allclose(mu.weights * n, counts, atol=1e-6)
     y = bt.realize_sample(bt.CountTable(A, k, n, counts))
     np.testing.assert_array_equal(bt.block_counts(y, k, A), counts)
+
+
+#: sha256 of the concatenated ``round_to_type`` weights over the inputs of
+#: ``test_round_to_type_pinned_bits``, recorded while stage 1 still built
+#: endpoint dicts and incidence lists; rewrites of the rounding must keep
+#: choosing the same types.
+ROUNDED_WEIGHTS_SHA256 = "c30df939f6a9495727ae767e2c96559a656cd8a0203e2b7ae791744c11c32605"
+
+
+def test_round_to_type_pinned_bits(make_stationary):
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):  # the types_census benchmark recipe
+        rng = np.random.default_rng(seed)
+        for A in (2, 3):
+            for k in (3, 4, 5):
+                for _ in range(4):
+                    values = rng.uniform(0.5, 2.0) * rng.standard_normal(A**k)
+                    phi = bt.MarkovPotential(A, k, values)
+                    nu = bt.equilibrium_blocks(bt.pressure(phi, 1.0), k)
+                    digest.update(bt.round_to_type(nu, 16 * A**k).weights.tobytes())
+    rng = np.random.default_rng(72)  # the first 50 laws of criterion 02
+    for _ in range(50):
+        A = int(rng.integers(2, 4))
+        k = int(rng.integers(1, 4))
+        n = int(rng.choice([50, 500]))
+        digest.update(bt.round_to_type(make_stationary(rng, A, k), n).weights.tobytes())
+    assert digest.hexdigest() == ROUNDED_WEIGHTS_SHA256
 
 
 def test_cycle_decompose_worked_example():
