@@ -42,7 +42,7 @@ from .pressure import (
     spectral_to_json_dict,
 )
 from .rates import (
-    entropy_rate_function,
+    _entropy_rates,
     entropy_scgf,
     information_scgf,
     relative_rate_function,
@@ -212,12 +212,13 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     )
 
     rate_file = os.path.join(args.out, "rate_theory.csv")
+    levels = [float(u) for u in _theory_u_grid(config, phi.alphabet_size)]
     _write_csv(
         rate_file,
         "u,entropy_rate_theory,relative_rate_theory",
         [
-            (u, entropy_rate_function(phi, u), relative_rate_function(phi, u))
-            for u in map(float, _theory_u_grid(config, phi.alphabet_size))
+            (u, rate, relative_rate_function(phi, u))
+            for u, rate in zip(levels, _entropy_rates(phi, levels))
         ],
     )
 

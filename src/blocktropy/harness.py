@@ -42,8 +42,8 @@ from .pressure import (
     pressure,
 )
 from .rates import (
+    _entropy_rates,
     asymptotic_variance,
-    entropy_rate_function,
     entropy_scgf,
     information_scgf,
     relative_rate_function,
@@ -85,6 +85,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    """True for Python and numpy reals (integers included), False for bool,
+    None and str."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one full experiment run."""
@@ -113,8 +119,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.n_grid, Sequence) or not all(map(_is_int, self.n_grid)):
-            raise ValueError(f"n_grid must list integers, got {self.n_grid!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name, is_entry, kind in _GRID_FIELDS:
+            grid = getattr(self, name)
+            if not isinstance(grid, Sequence) or not all(map(is_entry, grid)):
+                raise ValueError(f"{name} must list {kind}, got {grid!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if not math.isfinite(self.beta):
@@ -174,6 +186,12 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
+_REAL_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
+_GRID_FIELDS = (
+    ("n_grid", _is_int, "integers"),
+    ("t_grid", _is_real, "real numbers"),
+    ("u_grid", _is_real, "real numbers"),
+)
 
 
 def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
@@ -668,14 +686,15 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     }
     for center, emp in zip(centers, emp_rates):
         rate_points[float(center)] = float(emp)
+    levels = sorted(rate_points)
     rate_rows = [
         RateRow(
             u=u,
-            empirical=emp,
-            entropy_rate=entropy_rate_function(phi, u),
+            empirical=rate_points[u],
+            entropy_rate=rate,
             relative_rate=relative_rate_function(phi, u),
         )
-        for u, emp in sorted(rate_points.items())
+        for u, rate in zip(levels, _entropy_rates(phi, levels))
     ]
 
     audit_rows: list[AuditRow] = []

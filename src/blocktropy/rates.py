@@ -200,37 +200,214 @@ def _largest_feasible_tilt(phi: MarkovPotential) -> tuple[float, SpectralData]:
             beta *= 0.5
 
 
-def entropy_rate_function(phi: MarkovPotential, u: float) -> float:
-    """Rate function for deviations of the conditional-entropy estimator.
+def _poisson_variance(sd: SpectralData) -> float:
+    """Asymptotic variance of the Birkhoff sums of phi under the equilibrium
+    chain in ``sd``, from one Poisson-equation solve.
 
-    On [h_inf, ln A] the unique beta with h(rho_beta) = u is found by
-    bisection (h is monotone in beta) and the rate is the relative entropy
-    -E_{rho_beta}[phi] - u.  Below the zero-temperature entropy h_inf
-    (estimated at the largest numerically feasible tilt up to _BETA_MAX)
-    the rate continues linearly as -u - maxmean(phi); outside [0, ln A]
-    the level is unreachable and the rate is +inf.
+    With f = phi - E[phi] on the arcs (u, b) and g(u) = sum_b Q(b|u) f(u b),
+    the Poisson solution gh = Z g, where Z = (I - P + 1 q)^-1 is the
+    fundamental matrix of the vertex chain P (Kemeny and Snell), makes
+    D(u, b) = f(u b) + gh(suffix(u b)) - gh(u) a martingale increment, and
+    sigma^2 = sum_u q(u) sum_b Q(b|u) D(u, b)^2.  This is the pressure's
+    second derivative in beta, so dh/dbeta = -beta sigma^2.
     """
-    _require_normalized(phi)
+    phi, Q, q = sd.potential, sd.kernel, sd.vertex_stationary
+    A = phi.alphabet_size
+    V = Q.shape[0]
+    f = phi.values.reshape(V, A) - sd.potential_mean
+    g = (Q * f).sum(axis=1)
+    fundamental = np.eye(V) - _arc_matrix(Q.ravel(), A) + q[None, :]
+    try:
+        gh = np.linalg.solve(fundamental, g)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("Poisson equation solve is singular") from exc
+    D = f + gh[(np.arange(V * A) % V).reshape(V, A)] - gh[:, None]
+    return float(q @ (Q * D * D).sum(axis=1))
+
+
+#: Entropy error a pressure solve is allowed when a rate point's bisection
+#: is replayed: about 100 times the largest gap measured between solved
+#: entropies and those of fully converged Perron vectors.
+_ENTROPY_TOL = 1e-11
+
+#: Relative Newton step below which the located root counts as converged.
+_ROOT_STEP = 1e-6
+
+
+def _newton_step(
+    beta: float, h: float, slope: float, target: float, ln_a: float
+) -> float | None:
+    """Newton step on F(x) = ln(ln A - h(e^x)) = ln(ln A - target).
+
+    In x = ln beta the entropy deficit ln A - h grows like beta^2 at small
+    beta, so F is nearly linear there.  None when the step is undefined.
+    """
+    deficit = ln_a - h
+    if deficit <= 0.0 or slope >= 0.0:
+        return None
+    dx = math.log((ln_a - target) / deficit) * deficit / (-beta * slope)
+    return beta * math.exp(dx) if abs(dx) < 30.0 else None
+
+
+def _locate_root(
+    phi: MarkovPotential,
+    target: float,
+    beta_cap: float,
+    samples: dict[float, tuple[float, float | None]],
+) -> tuple[float, float] | None:
+    """Safeguarded Newton for the beta with h(beta) = target.
+
+    Starts from a Newton step off the nearest sample with a known slope
+    dh/dbeta = -beta sigma^2 (else from beta = 1) and falls back to the
+    geometric midpoint of the sampled bracket whenever a step leaves it.
+    Every solve is recorded in ``samples`` as beta -> (entropy, slope).
+    Returns the root and the slope there, or None without convergence.
+    """
     ln_a = math.log(phi.alphabet_size)
-    slack = 1e-12
-    if u < -slack or u > ln_a + slack:
-        return math.inf
-    u = min(max(u, 0.0), ln_a)
-    beta_cap, sd_cap = _largest_feasible_tilt(phi)
-    h_floor = sd_cap.entropy
-    if u < h_floor:
-        return -u - extreme_mean(phi, "max")
     lo, hi = 0.0, beta_cap
-    for _ in range(80):
+    for b, (h, _) in samples.items():
+        if h > target:
+            lo = max(lo, b)
+        elif h < target:
+            hi = min(hi, b)
+    sloped = [(abs(h - target), b, h, s) for b, (h, s) in samples.items() if s]
+    beta = _newton_step(*min(sloped)[1:], target, ln_a) if sloped else 1.0
+    for _ in range(30):
+        if beta is None or not lo < beta < hi:
+            beta = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        sd = pressure(phi, beta)
+        h, slope = sd.entropy, -beta * _poisson_variance(sd)
+        samples[beta] = (h, slope)
+        if h > target:
+            lo = beta
+        elif h < target:
+            hi = beta
+        step = _newton_step(beta, h, slope, target, ln_a)
+        if step is not None and (
+            abs(h - target) <= 0.25 * _ENTROPY_TOL
+            or abs(step - beta) <= _ROOT_STEP * beta
+        ):
+            return step, slope
+        beta = step
+    return None
+
+
+def _replay_bisection(
+    phi: MarkovPotential,
+    u: float,
+    beta_cap: float,
+    samples: dict[float, tuple[float, float | None]],
+) -> SpectralData:
+    """The bisection for h(beta) = u on (0, beta_cap), with the spectrum of
+    its last midpoint, at a fraction of its pressure solves.
+
+    The 80-step loop is the plain bisection; a midpoint is decided without
+    a solve only when a solved sample brackets it beyond _ENTROPY_TOL (h is
+    decreasing, so a sample above u + tol decides every midpoint left of
+    it, and one below u - tol every midpoint right of it).  Samples come
+    from earlier levels, from the Newton root and two solves just either
+    side of it, and from the midpoints solved so far.  Every other
+    midpoint, and every one that could end the loop, is solved, so the
+    decisions and the returned spectrum are the plain bisection's bits.
+    """
+    ln_a = math.log(phi.alphabet_size)
+    tol = _ENTROPY_TOL
+    # within 2 tol of h(beta_cap) the entropy is flat to rounding: no root
+    if u - samples[beta_cap][0] > 2.0 * tol:
+        try:
+            # at u = ln A the root is beta = 0; aim just inside instead
+            located = _locate_root(phi, min(u, ln_a - 2.0 * tol), beta_cap, samples)
+            if located is not None:
+                root, slope = located
+                gap = 1.5 * tol / abs(slope)
+                for beta in (root - gap, root + gap):
+                    if 0.0 < beta < beta_cap:
+                        samples[beta] = (pressure(phi, beta).entropy, None)
+        except (ConvergenceError, ReducibilityError):
+            pass  # without a root the replay solves every undecided midpoint
+    # every midpoint up to ``left`` has h > u, every one from ``right`` on h < u
+    left = max((b for b, (h, _) in samples.items() if h > u + tol), default=0.0)
+    right = min((b for b, (h, _) in samples.items() if h < u - tol), default=math.inf)
+
+    lo, hi = 0.0, beta_cap
+    for step in range(80):
         mid = 0.5 * (lo + hi)
-        sd = pressure(phi, mid)
-        if sd.entropy > u:
+        final = (
+            step == 79
+            or mid - lo < 1e-12 * max(1.0, mid)
+            or hi - mid < 1e-12 * max(1.0, hi)
+        )
+        if final or left < mid < right:
+            sd = pressure(phi, mid)
+            samples[mid] = (sd.entropy, None)
+            above = sd.entropy > u
+            if sd.entropy > u + tol:
+                left = mid
+            elif sd.entropy < u - tol:
+                right = mid
+        else:
+            above = mid <= left
+        if above:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-12 * max(1.0, hi):
             break
-    return max(0.0, -sd.potential_mean - u)
+    return sd
+
+
+def _entropy_rates(
+    phi: MarkovPotential, levels: np.ndarray | list[float]
+) -> list[float]:
+    """``entropy_rate_function`` at every level u, for one potential.
+
+    The tilt probe and the maximum cycle mean run once, when a level first
+    needs them, and every pressure solve stays a sample for later levels.
+    """
+    _require_normalized(phi)
+    ln_a = math.log(phi.alphabet_size)
+    slack = 1e-12
+    samples: dict[float, tuple[float, float | None]] = {}
+    beta_cap = h_floor = max_mean = None
+    rates = []
+    for u in map(float, levels):
+        if u < -slack or u > ln_a + slack:
+            rates.append(math.inf)
+            continue
+        u = min(max(u, 0.0), ln_a)
+        if beta_cap is None:
+            beta_cap, sd_cap = _largest_feasible_tilt(phi)
+            h_floor = sd_cap.entropy
+            samples[beta_cap] = (h_floor, None)
+        if u < h_floor:
+            if max_mean is None:
+                max_mean = extreme_mean(phi, "max")
+            rates.append(-u - max_mean)
+            continue
+        sd = _replay_bisection(phi, u, beta_cap, samples)
+        rates.append(max(0.0, -sd.potential_mean - u))
+    return rates
+
+
+def entropy_rate_function(phi: MarkovPotential, u: float) -> float:
+    """Rate function for deviations of the conditional-entropy estimator.
+
+    On [h_inf, ln A] the unique beta with h(rho_beta) = u is found by an
+    80-step bisection (h is monotone in beta) and the rate is the relative
+    entropy -E_{rho_beta}[phi] - u.  Below the zero-temperature entropy
+    h_inf (estimated at the largest numerically feasible tilt up to
+    _BETA_MAX) the rate continues linearly as -u - maxmean(phi); outside
+    [0, ln A] the level is unreachable and the rate is +inf.
+
+    The bisection is replayed rather than solved step by step: a safeguarded
+    Newton on h(beta) = u, with dh/dbeta = -beta sigma^2_beta from one
+    Poisson-equation solve, locates the root, and only the midpoints the
+    root leaves within rounding of u, plus the last, get a pressure solve.
+    The result is the plain bisection's, bit for bit, in about 15 solves
+    instead of about 48.  ``rate_curve`` evaluates a whole grid with one
+    tilt probe.
+    """
+    return _entropy_rates(phi, (u,))[0]
 
 
 def relative_rate_function(phi: MarkovPotential, u: float) -> float:
@@ -255,6 +432,11 @@ _CURVES = {
 _CURVE_KINDS = tuple(_CURVES)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in _CURVE_KINDS:
+        raise ValueError(f"kind must be one of {_CURVE_KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class RateCurve:
     """A rate function or SCGF tabulated on a grid (values may be inf)."""
@@ -264,8 +446,7 @@ class RateCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in _CURVE_KINDS:
-            raise ValueError(f"kind must be one of {_CURVE_KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if g.shape != v.shape or g.ndim != 1:
@@ -280,8 +461,11 @@ def rate_curve(
     phi: MarkovPotential, kind: str, grid: np.ndarray | list[float]
 ) -> RateCurve:
     """Tabulate one of the named rate functions / SCGFs on a grid."""
-    fn = _CURVES[kind]
-    values = [fn(phi, float(x)) for x in grid]
+    _check_kind(kind)
+    if kind == "entropy_rate":
+        values = _entropy_rates(phi, grid)  # one tilt probe for the grid
+    else:
+        values = [_CURVES[kind](phi, float(x)) for x in grid]
     return RateCurve(kind, np.asarray(grid, dtype=float), np.asarray(values))
 
 

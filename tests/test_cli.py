@@ -76,6 +76,11 @@ def test_exit_code_malformed_json(tmp_path, capsys):
         {"n_grid": 5},
         {"replicas": "3"},
         {"seed": 1.5},
+        {"beta": "x"},
+        {"epsilon": None},
+        {"bin_width": True},
+        {"t_grid": ["a"]},
+        {"u_grid": [0.1, None]},
     ],
 )
 def test_exit_code_malformed_config(tmp_path, capsys, entries):

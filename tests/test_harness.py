@@ -81,6 +81,11 @@ def test_config_round_trip_and_unknown_keys():
         {"n_grid": 5},
         {"replicas": "3"},
         {"seed": 1.5},
+        {"beta": "x"},
+        {"epsilon": None},
+        {"bin_width": True},
+        {"t_grid": ("a",)},
+        {"u_grid": (0.1, None)},
     ],
 )
 def test_config_validation(override):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,9 @@ import pytest
 import blocktropy as bt
 
 from conftest import CHAIN_ENTROPY
+
+# the package namespace binds ``pressure`` to the function
+pressure_module = importlib.import_module("blocktropy.pressure")
 
 
 def test_chain_closed_forms(chain_potential, chain_spectral):
@@ -210,6 +214,55 @@ def test_pressure_failure_modes(chain_potential):
     assert np.allclose(sd_flip.equilibrium.weights, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
     # the design range stays clean on the example chain
     assert np.isfinite(bt.pressure(chain_potential, 256.0).pressure)
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix that counts its matrix-vector products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
+def _plain_power_iteration(M):
+    """Power iteration to the 2000-step cap with no stall test."""
+    v = np.full(M.shape[0], 1.0 / M.shape[0])
+    lam = 0.0
+    for _ in range(2000):
+        w = M @ v
+        s = float(w.sum())
+        w /= s
+        if np.max(np.abs(w - v)) < 1e-13 and abs(s - lam) < 1e-13 * max(1.0, abs(s)):
+            for _ in range(2):
+                w = M @ w
+                s = float(w.sum())
+                w /= s
+            return s, w
+        v, lam = w, s
+    return None
+
+
+def test_perron_stall_test():
+    # a slowly mixing chain (second eigenvalue 0.97, about 900 steps) is
+    # not cut short: it keeps the plain power iteration's bits
+    slow = np.array([[0.99, 0.02], [0.01, 0.98]])
+    _CountedMatrix.products = 0
+    lam, v = pressure_module._perron(slow.view(_CountedMatrix))
+    assert _CountedMatrix.products > 800
+    want_lam, want_v = _plain_power_iteration(slow)
+    assert lam == want_lam and np.array_equal(v, want_v)
+    # a 3-cycle with a faint shortcut ties the subdominant moduli to the
+    # Perron root to 1e-6: the stall test hands it to the eigensolve after
+    # two windows instead of the 2000-step cap, with the same bits
+    tie = np.roll(np.diag([1.0, 2.0, 3.0]), 1, axis=1) + 1e-6
+    assert _plain_power_iteration(tie) is None
+    _CountedMatrix.products = 0
+    lam, v = pressure_module._perron(tie.view(_CountedMatrix))
+    assert _CountedMatrix.products <= 2 * pressure_module._STALL_WINDOW + 3
+    want_lam, want_v = pressure_module._perron_eig(tie)
+    assert lam == want_lam and np.array_equal(v, want_v)
 
 
 def test_spectral_json_dict(chain_spectral):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import blocktropy as bt
+from blocktropy import rates
 
-from conftest import CHAIN_ENTROPY
+from conftest import CHAIN_ENTROPY, _random_potential
 
 CHAIN_MAX_MEAN = math.log(0.9)
 CHAIN_MIN_MEAN = (math.log(0.1) + math.log(0.2)) / 2.0
@@ -154,6 +155,8 @@ def test_rate_curve_and_legendre(chain_potential):
     assert bt.legendre(curve, 0.0) == pytest.approx(0.0, abs=1e-4)
     with pytest.raises(ValueError):
         bt.RateCurve("nonsense", grid, grid)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        bt.rate_curve(chain_potential, "nonsense", grid)
     with pytest.raises(ValueError):
         bt.RateCurve("entropy_rate", grid, grid[:-1])
     empty = bt.RateCurve("entropy_rate", np.array([0.1]), np.array([math.inf]))
@@ -232,3 +235,106 @@ def test_scgf_t_one_is_renyi_collision_point(chain_potential, chain_spectral):
     # kernel versus rescaled pressure
     direct = 2.0 * bt.pressure(chain_potential, 0.5).pressure
     assert bt.renyi_scgf(chain_spectral, 1.0) == pytest.approx(direct, abs=1e-12)
+
+def _bisection_rate(phi: bt.MarkovPotential, u: float) -> tuple[float, int, bool]:
+    """The plain rate-function bisection: a pressure solve at every one of
+    up to 80 midpoints.  Returns the rate, the number of solves (the tilt
+    probe included) and whether u fell on the linear branch."""
+    ln_a = math.log(phi.alphabet_size)
+    u = min(max(u, 0.0), ln_a)
+    beta_cap, solves = 256.0, 1
+    while True:
+        try:
+            h_floor = bt.pressure(phi, beta_cap).entropy
+            break
+        except (bt.ConvergenceError, bt.ReducibilityError):
+            assert beta_cap > 8.0
+            beta_cap *= 0.5
+            solves += 1
+    if u < h_floor:
+        return -u - bt.extreme_mean(phi, "max"), solves, True
+    lo, hi = 0.0, beta_cap
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        sd = bt.pressure(phi, mid)
+        solves += 1
+        if sd.entropy > u:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+    return max(0.0, -sd.potential_mean - u), solves, False
+
+
+def _oracle_potentials(chain_potential, tilt_reproducer):
+    """The example chain, criterion 07's drawn potentials and the tilt
+    reproducer, each with the levels its rate points are checked at."""
+    rng = np.random.default_rng(77)
+    drawn = [(2, 2)] * 5 + [(3, 2)] * 2 + [(2, 3)] * 2
+    cases = [chain_potential] + [
+        bt.normalize_potential(_random_potential(rng, A, k, 1.2))[0] for A, k in drawn
+    ]
+    out = [(phi, np.linspace(0.0, math.log(phi.alphabet_size), 21)) for phi in cases]
+    out.append((tilt_reproducer, np.array([0.0, 0.3, 0.7, 1.2, math.log(4.0)])))
+    return out
+
+
+def test_entropy_rate_function_replays_bisection_bitwise(
+    chain_potential, tilt_reproducer, monkeypatch
+):
+    # the replayed bisection returns the plain bisection's bits, one level
+    # at a time and over a whole grid, at a fraction of its solves
+    solves = []
+
+    def counted(phi, beta):
+        solves.append(beta)
+        return bt.pressure(phi, beta)
+
+    linear = endpoints = 0
+    for phi, levels in _oracle_potentials(chain_potential, tilt_reproducer):
+        ln_a = math.log(phi.alphabet_size)
+        expected = [_bisection_rate(phi, float(u)) for u in levels]
+        monkeypatch.setattr(rates, "pressure", counted)
+        point_solves = 0
+        for u, (want, plain_solves, on_linear_branch) in zip(levels, expected):
+            solves.clear()
+            assert bt.entropy_rate_function(phi, float(u)) == want, (phi.values, u)
+            assert len(solves) <= plain_solves, (u, len(solves), plain_solves)
+            if 0.0 < u < ln_a and not on_linear_branch:
+                assert len(solves) <= 24, (u, len(solves))
+            point_solves += len(solves)
+            linear += on_linear_branch
+            endpoints += u in (0.0, ln_a)
+        solves.clear()
+        curve = bt.rate_curve(phi, "entropy_rate", levels)
+        # one tilt probe and shared samples: never dearer than point by point
+        assert len(solves) <= point_solves
+        if len(levels) == 21:
+            assert len(solves) <= 16 * 21
+        monkeypatch.undo()
+        assert curve.values.tolist() == [want for want, _, _ in expected]
+    assert linear > 0 and endpoints == 2 * 11
+
+
+def test_poisson_variance_matches_curvature_routes(chain_potential):
+    rng = np.random.default_rng(15)
+    drawn = [
+        bt.normalize_potential(_random_potential(rng, A, k, 1.0))[0]
+        for A, k in ((2, 2), (3, 2), (2, 3), (4, 3))
+    ]
+    for phi in [chain_potential] + drawn:
+        sigma2 = rates._poisson_variance(bt.pressure(phi, 1.0))
+        for route in ("information", "entropy"):
+            assert sigma2 == pytest.approx(
+                bt.asymptotic_variance(phi, route), abs=1e-6
+            ), route
+        # dh/dbeta = -beta sigma^2_beta against a central difference
+        for beta in (0.3, 1.0, 2.5):
+            step = 1e-5
+            slope = (
+                bt.pressure(phi, beta + step).entropy
+                - bt.pressure(phi, beta - step).entropy
+            ) / (2.0 * step)
+            exact = -beta * rates._poisson_variance(bt.pressure(phi, beta))
+            assert slope == pytest.approx(exact, rel=1e-6, abs=1e-6), beta
