@@ -7,180 +7,29 @@ distributions), ``entropy`` (plug-in estimators), ``typegraphs``
 operators and equilibrium states), ``rates`` (cumulant and rate functions),
 ``simulate`` (seeded path sampling), ``harness`` (end-to-end experiments),
 and ``cli`` (the ``blocktropy`` command).
+
+The package namespace is the union of the layer modules' ``__all__`` lists.
+The alias imports load every module first, so the star-imports after them
+rebind ``pressure`` from the submodule to the function.
 """
 
-from .blocks import (
-    BlockDistribution,
-    block_counts,
-    block_schedule,
-    cyclic_window_codes,
-    empirical_block_measure,
-    index_to_word,
-    marginalize,
-    stationarity_defect,
-    tv_distance,
-    window_codes,
-    word_to_index,
-)
-from .entropy import (
-    MEASURE_FUNCTIONALS,
-    EntropyRecord,
-    conditional_block_entropy,
-    conditional_relative_entropy,
-    continuity_bound,
-    functionals_from_counts,
-    measure_functional,
-    plug_in_estimates,
-    relative_block_entropy,
-    shannon_block_entropy,
-)
-from .harness import (
-    ExperimentConfig,
-    LdpReport,
-    decomposition_audit,
-    empirical_rate,
-    exact_finite_scgf,
-    mc_scgf,
-    potential_from_config,
-    run_ldp,
-    run_lln,
-    variance_audit,
-    write_report,
-)
-from .pressure import (
-    ConvergenceError,
-    MarkovPotential,
-    ReducibilityError,
-    SpectralData,
-    direct_pressure_estimate,
-    equilibrium_blocks,
-    markov_blocks,
-    normalize_potential,
-    potential_from_marginals,
-    pressure,
-    relative_entropy_rate,
-    spectral_to_json_dict,
-    transfer_matrix,
-)
-from .rates import (
-    RateCurve,
-    asymptotic_variance,
-    entropy_curve,
-    entropy_rate_function,
-    entropy_scgf,
-    extreme_mean,
-    fixed_k_rate_lower,
-    information_scgf,
-    legendre,
-    rate_curve,
-    relative_rate_function,
-    relative_scgf,
-    renyi_scgf,
-    zero_temperature_entropy,
-)
-from .simulate import (
-    RNG_NAME,
-    SamplerSpec,
-    birkhoff_sum,
-    birkhoff_sums,
-    read_path_file,
-    sample_path,
-    sample_paths,
-    write_path_file,
-)
-from .typegraphs import (
-    CountTable,
-    CycleMeasure,
-    TypeSizeBounds,
-    components,
-    cycle_decompose,
-    enumerate_simple_cycles,
-    enumerate_types,
-    realize_sample,
-    round_to_type,
-    type_class_size,
-    type_count_bound,
-)
+from . import blocks as _blocks
+from . import entropy as _entropy
+from . import harness as _harness
+from . import pressure as _pressure
+from . import rates as _rates
+from . import simulate as _simulate
+from . import typegraphs as _typegraphs
+from .blocks import *  # noqa: F401,F403
+from .entropy import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .pressure import *  # noqa: F401,F403
+from .rates import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .typegraphs import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDistribution",
-    "ConvergenceError",
-    "CountTable",
-    "CycleMeasure",
-    "EntropyRecord",
-    "ExperimentConfig",
-    "LdpReport",
-    "MEASURE_FUNCTIONALS",
-    "MarkovPotential",
-    "RNG_NAME",
-    "RateCurve",
-    "ReducibilityError",
-    "SamplerSpec",
-    "SpectralData",
-    "TypeSizeBounds",
-    "__version__",
-    "asymptotic_variance",
-    "birkhoff_sum",
-    "birkhoff_sums",
-    "block_counts",
-    "block_schedule",
-    "components",
-    "conditional_block_entropy",
-    "conditional_relative_entropy",
-    "continuity_bound",
-    "cycle_decompose",
-    "cyclic_window_codes",
-    "decomposition_audit",
-    "direct_pressure_estimate",
-    "empirical_block_measure",
-    "empirical_rate",
-    "entropy_curve",
-    "entropy_rate_function",
-    "entropy_scgf",
-    "enumerate_simple_cycles",
-    "enumerate_types",
-    "exact_finite_scgf",
-    "extreme_mean",
-    "fixed_k_rate_lower",
-    "functionals_from_counts",
-    "index_to_word",
-    "information_scgf",
-    "legendre",
-    "marginalize",
-    "markov_blocks",
-    "mc_scgf",
-    "measure_functional",
-    "normalize_potential",
-    "plug_in_estimates",
-    "potential_from_config",
-    "potential_from_marginals",
-    "pressure",
-    "rate_curve",
-    "read_path_file",
-    "realize_sample",
-    "relative_block_entropy",
-    "relative_entropy_rate",
-    "relative_rate_function",
-    "relative_scgf",
-    "renyi_scgf",
-    "round_to_type",
-    "run_ldp",
-    "run_lln",
-    "sample_path",
-    "sample_paths",
-    "shannon_block_entropy",
-    "spectral_to_json_dict",
-    "stationarity_defect",
-    "transfer_matrix",
-    "tv_distance",
-    "type_class_size",
-    "type_count_bound",
-    "variance_audit",
-    "window_codes",
-    "word_to_index",
-    "write_path_file",
-    "write_report",
-    "zero_temperature_entropy",
-]
+_LAYERS = (_blocks, _entropy, _harness, _pressure, _rates, _simulate, _typegraphs)
+
+__all__ = ["__version__"] + [name for layer in _LAYERS for name in layer.__all__]

@@ -34,6 +34,7 @@ __all__ = [
     "SpectralData",
     "direct_pressure_estimate",
     "equilibrium_blocks",
+    "markov_blocks",
     "normalize_potential",
     "potential_from_marginals",
     "pressure",
@@ -274,22 +275,19 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
         )
     kernel /= row_sums
 
-    if V == 1:
-        q = np.ones(1)
-    else:
-        lhs = np.eye(V) - _arc_matrix(kernel.ravel(), A).T
-        lhs[-1, :] = 1.0
-        rhs = np.zeros(V)
-        rhs[-1] = 1.0
-        try:
-            q = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "stationary state solve is singular; inverse temperature "
-                "too extreme for a unique equilibrium"
-            ) from exc
-        q = np.maximum(q, 0.0)
-        q /= q.sum()
+    lhs = np.eye(V) - _arc_matrix(kernel.ravel(), A).T
+    lhs[-1, :] = 1.0
+    rhs = np.zeros(V)
+    rhs[-1] = 1.0
+    try:
+        q = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            "stationary state solve is singular; inverse temperature "
+            "too extreme for a unique equilibrium"
+        ) from exc
+    q = np.maximum(q, 0.0)
+    q /= q.sum()
 
     rho = BlockDistribution(
         A, k, (q[:, None] * kernel).ravel(), stationary=True

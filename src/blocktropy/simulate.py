@@ -202,15 +202,14 @@ def sample_path(spec: SamplerSpec) -> np.ndarray:
 def birkhoff_sum(x: Sequence[int] | np.ndarray, phi: MarkovPotential) -> float:
     """Windowed running sum of phi along x: sum over the n-k+1 contiguous
     k-windows (no wraparound, unlike the estimators' cyclic counts)."""
-    x = np.asarray(x)
-    codes = window_codes(x, phi.k, phi.alphabet_size)
-    return float(phi.values[codes].sum())
+    return float(birkhoff_sums(x, phi))
 
 
 def birkhoff_sums(paths: np.ndarray, phi: MarkovPotential) -> np.ndarray:
-    """Row-wise :func:`birkhoff_sum` for an (R, n) batch of paths."""
+    """Row-wise :func:`birkhoff_sum` for an (R, n) batch of paths (a single
+    path of shape (n,) gives a 0-d array)."""
     codes = window_codes(paths, phi.k, phi.alphabet_size)
-    return phi.values[codes].sum(axis=1)
+    return phi.values[codes].sum(axis=-1)
 
 
 def write_path_file(

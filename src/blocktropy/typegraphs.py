@@ -204,10 +204,12 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
     count is at most (n+1)**(A**k).  Types are returned in lexicographic
     order of their count vectors.
     """
+    if alphabet_size < 2 or not 1 <= k <= n:
+        raise ValueError(
+            f"need A >= 2 and 1 <= k <= n, got A={alphabet_size}, k={k}, n={n}"
+        )
     if alphabet_size**n > 1 << 24:
         raise ValueError("type enumeration limited to A**n <= 2**24 strings")
-    if k > n:
-        raise ValueError("block length exceeds string length")
     chunks = [_distinct_rows(m)[0] for _, m in _chunked_count_matrices(n, k, alphabet_size)]
     types = _distinct_rows(np.vstack(chunks))[0]
     return [
@@ -243,7 +245,7 @@ class TypeSizeBounds:
 def type_class_size(table: CountTable, mode: str = "exact"):
     """Number of strings whose cyclic type is ``table`` (exact or bounded).
 
-    Exact mode enumerates all A**n strings and requires n <= 16.  Bounds
+    Exact mode enumerates all A**n strings and requires A**n <= 2**16.  Bounds
     mode evaluates, per vertex u with outgoing count R_u > 0,
 
         prod (R_u - 1)! / prod N_w!   and   n * prod R_u! / prod N_w!
@@ -252,8 +254,8 @@ def type_class_size(table: CountTable, mode: str = "exact"):
     always lies inside both intervals.
     """
     if mode == "exact":
-        if table.n > 16:
-            raise ValueError("exact type class size limited to n <= 16")
+        if table.alphabet_size**table.n > 1 << 16:
+            raise ValueError("exact type class size limited to A**n <= 2**16 strings")
         target = table.counts
         matches = 0
         for _, m in _chunked_count_matrices(table.n, table.k, table.alphabet_size):
@@ -380,18 +382,15 @@ def _shortest_support_cycle(
 ) -> list[int]:
     """Arc codes of a shortest directed cycle in the support of ``z``.
 
-    Self-loops win outright; otherwise the first shortest of the cycles
-    through each support vertex, smallest vertex first, keeps the choice
-    deterministic.
+    The first shortest of the cycles through each support vertex, smallest
+    vertex first, keeps the choice deterministic; a support self-loop is
+    the cycle of length one through its vertex.
     """
-    A, V = alphabet_size, alphabet_size ** (k - 1)
-    support = np.flatnonzero(z > 0)
-    loops = [int(w) for w in support if w // A == w % V]
-    if loops:
-        return [loops[0]]
     weights = z.tolist()
-    tails = sorted({w // A for w in support.tolist()})
-    return min((_shortest_path_arcs(weights, u, u, A, k) for u in tails), key=len)
+    tails = sorted({w // alphabet_size for w in np.flatnonzero(z > 0).tolist()})
+    return min(
+        (_shortest_path_arcs(weights, u, u, alphabet_size, k) for u in tails), key=len
+    )
 
 
 def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
@@ -407,8 +406,8 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
     cycle that :func:`_find_fractional_cycle` walks, by the largest step
     that keeps every arc of it between its floor and ceil.  Every round
     makes at least one more arc integral.  Stage 2 repairs any leftover
-    total-mass mismatch (missing units go on the all-zeros self-loop in one
-    add, surplus units come off along shortest support cycles).  Stage 3
+    total-mass mismatch (surplus units come off along shortest support
+    cycles, then missing units go on the all-zeros self-loop).  Stage 3
     restores realizability for disconnected supports by round-tripping
     through an Eulerian concatenation.
 
@@ -462,16 +461,12 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
                 z[w] += sign * d * step
         z = np.round(z).astype(np.int64)
 
-        # total-mass repair (stage 1 can only land within a few units of n)
-        z[0] += max(0, n - int(z.sum()))  # self-loop at the all-zeros word
+        # total-mass repair (stage 1 can only land within a few units of n):
+        # surplus comes off along support cycles, and the shortfall, from
+        # the start or from the last removal, goes on the all-zeros self-loop
         while z.sum() > n:
-            cycle = _shortest_support_cycle(z, A, k)
-            if z.sum() - len(cycle) < n:
-                # removing this cycle would overshoot; add zeros-loop units
-                # first so the removal lands exactly on n
-                z[0] += int(len(cycle) - (z.sum() - n))
-            for w in cycle:
-                z[w] -= 1
+            z[_shortest_support_cycle(z, A, k)] -= 1
+        z[0] += n - int(z.sum())
 
     table = CountTable(A, k, n, z)
     if len(components(table)) > 1:

@@ -124,6 +124,12 @@ def test_simulate_estimate_round_trip(config_file, tmp_path, capsys):
     assert est2["k"] == 6  # schedule at n=300, eps=0.2
 
 
+def test_simulate_path_shorter_than_memory(config_file, tmp_path, capsys):
+    out_dir = str(tmp_path / "sim")
+    assert main(["simulate", "--config", config_file, "--out", out_dir, "--n", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_estimate_alphabet_mismatch(config_file, tmp_path, capsys):
     other = tmp_path / "trit.json"
     other.write_text(
@@ -197,8 +203,9 @@ def test_types_audit_output(tmp_path, capsys):
     assert total == 2**4  # every string belongs to exactly one type
     assert main(["types-audit", "--n", "20"]) == 1
     capsys.readouterr()
-    assert main(["types-audit", "--alphabet", "1"]) == 1
-    capsys.readouterr()
+    for flag, value in (("--alphabet", "1"), ("--alphabet", "0"), ("--k", "-1")):
+        assert main(["types-audit", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_ldp_files_and_seed_override(config_file, tmp_path, capsys):

@@ -70,6 +70,14 @@ def test_enumerate_types_tiny_frozen():
     assert len(bt.enumerate_types(1, 1, 3)) == 3
 
 
+@pytest.mark.parametrize(
+    "n, k, A", [(8, 2, 1), (8, 2, 0), (8, 2, -2), (8, 0, 2), (8, -1, 2), (2, 3, 2)]
+)
+def test_enumerate_types_rejects_bad_shapes(n, k, A):
+    with pytest.raises(ValueError):
+        bt.enumerate_types(n, k, A)
+
+
 def test_enumerate_types_matches_string_census():
     # the type list is exactly the set of cyclic count vectors of strings
     for n, k, A in ((6, 2, 2), (4, 3, 2), (4, 1, 3), (5, 2, 2)):
@@ -117,6 +125,14 @@ def test_type_class_size_worked_examples():
     b1 = bt.type_class_size(binom, mode="bounds")
     assert b1.euler_lower == pytest.approx(1.5)
     assert b1.euler_upper == pytest.approx(24.0)
+
+
+def test_type_class_size_exact_guards_string_count():
+    # the exact census is capped at A**n <= 2**16 strings, whatever A is
+    with pytest.raises(ValueError):
+        bt.type_class_size(bt.CountTable(3, 1, 12, np.array([4, 4, 4])), mode="exact")
+    half = bt.CountTable(2, 1, 16, np.array([8, 8]))
+    assert bt.type_class_size(half, mode="exact") == math.comb(16, 8)
 
 
 def test_type_class_size_matches_brute_force_oracle():
