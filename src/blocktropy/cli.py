@@ -155,7 +155,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
     if args.path is not None:
-        x, file_alphabet, file_seed = read_path_file(args.path)
+        try:
+            x, file_alphabet, file_seed = read_path_file(args.path)
+        except OSError as exc:
+            raise _CliError(f"cannot read path file: {exc}") from exc
         if file_alphabet != A:
             raise _CliError("path file alphabet does not match the potential")
         seed = file_seed

@@ -160,14 +160,6 @@ class EntropyRecord:
     rel_entropy: Optional[float] = None
     rel_cond_entropy: Optional[float] = None
 
-    CSV_HEADER = "n,k,block_entropy,cond_entropy,rel_entropy,rel_cond_entropy"
-
-    def csv_row(self, fmt) -> str:
-        cells = [str(self.n), str(self.k), fmt(self.block_entropy), fmt(self.cond_entropy)]
-        for v in (self.rel_entropy, self.rel_cond_entropy):
-            cells.append("" if v is None else fmt(v))
-        return ",".join(cells)
-
 
 def plug_in_estimates(
     x: Sequence[int] | np.ndarray,

@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -37,6 +37,7 @@ from .entropy import (
 from .pressure import (
     MarkovPotential,
     SpectralData,
+    _require_normalized,
     equilibrium_blocks,
     normalize_potential,
     pressure,
@@ -163,16 +164,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "potential" not in data:
             raise ValueError("config requires a potential entry")
-        kwargs: dict[str, object] = {}
-        for key in _CONFIG_KEYS:
-            if key not in data:
-                continue
-            value = data[key]
-            if key in ("n_grid", "t_grid", "u_grid"):
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"{key} must be a list, got {value!r}")
-                value = tuple(value)
-            kwargs[key] = value
+        kwargs = {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in data.items()
+        }
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_json_dict(self) -> dict[str, object]:
@@ -192,6 +187,18 @@ _GRID_FIELDS = (
     ("t_grid", _is_real, "real numbers"),
     ("u_grid", _is_real, "real numbers"),
 )
+
+
+def _log_stochastic(rows: np.ndarray) -> np.ndarray:
+    """Log of a row-stochastic matrix of at least 2 columns, with strictly
+    positive entries and rows summing to 1 within 1e-9, renormalized."""
+    if rows.shape[1] < 2:
+        raise ValueError("alphabet must have at least 2 symbols")
+    if np.any(rows <= 0):
+        raise ValueError("probabilities must be strictly positive")
+    if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("probabilities must sum to 1 in every row")
+    return np.log(rows / rows.sum(axis=1, keepdims=True))
 
 
 def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
@@ -214,26 +221,16 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
         rows = np.asarray(entry("transition"), dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("transition must be a square matrix")
-        if rows.shape[0] < 2:
-            raise ValueError("alphabet must have at least 2 symbols")
-        if np.any(rows <= 0):
-            raise ValueError("transition entries must be strictly positive")
-        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("transition rows must sum to 1")
-        rows = rows / rows.sum(axis=1, keepdims=True)
         return MarkovPotential(
-            rows.shape[0], 2, np.log(rows).ravel(), normalized=True
+            rows.shape[0], 2, _log_stochastic(rows).ravel(), normalized=True
         )
     if kind == "bernoulli":
         p = np.asarray(entry("p"), dtype=float)
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError("p must list at least 2 probabilities")
-        if np.any(p <= 0):
-            raise ValueError("probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        p = p / p.sum()
-        return MarkovPotential(p.size, 1, np.log(p), normalized=True)
+        if p.ndim != 1:
+            raise ValueError("p must be a flat list of probabilities")
+        return MarkovPotential(
+            p.size, 1, _log_stochastic(p[None, :])[0], normalized=True
+        )
     if kind == "values":
         alphabet_size = int(entry("alphabet_size"))
         k = int(entry("k"))
@@ -349,8 +346,8 @@ class LdpReport:
 
 def _replica_groups(
     sd: SpectralData, n: int, seed: int, replicas: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, paths) for consecutive groups of the seeded replicas.
+) -> Iterator[np.ndarray]:
+    """Yield the paths of consecutive groups of the seeded replicas.
 
     A group holds about 2**20 symbols, which bounds the memory of the
     per-window arrays callers build from it.  Replica streams do not depend
@@ -359,7 +356,7 @@ def _replica_groups(
     group = max(1, (1 << 20) // max(n, 1))
     for start in range(0, replicas, group):
         count = min(group, replicas - start)
-        yield start, sample_paths(sd, n, seed, count, replica_offset=start)
+        yield sample_paths(sd, n, seed, count, replica_offset=start)
 
 
 def run_lln(config: ExperimentConfig) -> LdpReport:
@@ -377,23 +374,18 @@ def run_lln(config: ExperimentConfig) -> LdpReport:
         k = block_schedule(n, A, config.epsilon)
         rho_k = equilibrium_blocks(sd, k)
         seed_n = _stage_seed(config.seed, _STAGE_LLN, n)
-        devs: list[float] = []
-        conds: list[float] = []
-        for start, paths in _replica_groups(sd, n, seed_n, config.replicas):
-            values = functionals_from_counts(block_counts(paths, k, A), n, k, rho_k)
-            for replica, row in enumerate(values.tolist(), start):
-                record = EntropyRecord(n, k, *row)
-                samples.append(
-                    SampleRow(
-                        n=n,
-                        k=k,
-                        replica=replica,
-                        seed=(seed_n ^ replica) & _MASK64,
-                        record=record,
-                    )
-                )
-                devs.append(abs(record.cond_entropy - sd.entropy))
-                conds.append(record.cond_entropy)
+        values = np.concatenate(
+            [
+                functionals_from_counts(block_counts(paths, k, A), n, k, rho_k)
+                for paths in _replica_groups(sd, n, seed_n, config.replicas)
+            ]
+        )
+        samples.extend(
+            SampleRow(n, k, r, (seed_n ^ r) & _MASK64, EntropyRecord(n, k, *row))
+            for r, row in enumerate(values.tolist())
+        )
+        conds = values[:, 1]
+        devs = np.abs(conds - sd.entropy)
         summaries.append(
             LlnSummary(
                 n=n,
@@ -448,15 +440,12 @@ def _exact_finite_scgf_grid(
     The strings, their counts, functionals and masses do not depend on t, so
     each chunk is enumerated once and summed once per t.
     """
-    if not phi.normalized:
-        raise ValueError("exact SCGF needs a normalized potential")
+    _require_normalized(phi)
     A = phi.alphabet_size
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if A**n > _EXACT_STRING_CAP:
         raise ValueError("alphabet**n exceeds the exhaustive enumeration cap")
-    if functional not in MEASURE_FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}")
     if sd is None:
         sd = pressure(phi, 1.0)
 
@@ -509,12 +498,13 @@ def mc_scgf(
     rho_k = None
     if functional.startswith("relative"):
         rho_k = equilibrium_blocks(sd, k)
-    values = np.empty(replicas)
-    for start, paths in _replica_groups(sd, n, seed, replicas):
-        counts = block_counts(paths, k, A)
-        table = functionals_from_counts(counts, n, k, rho_k)
-        values[start : start + len(paths)] = select_functional(functional, table, k)
-    scaled = n * t * values
+    table = np.concatenate(
+        [
+            functionals_from_counts(block_counts(paths, k, A), n, k, rho_k)
+            for paths in _replica_groups(sd, n, seed, replicas)
+        ]
+    )
+    scaled = n * t * select_functional(functional, table, k)
     top = float(scaled.max())
     weights = np.exp(scaled - top)
     mean_w = float(weights.mean())
@@ -565,8 +555,7 @@ def decomposition_audit(
     equilibrium; the residual is whatever the two tracked terms leave over,
     reported next to the 10*k/n yardstick.
     """
-    if not phi.normalized:
-        raise ValueError("decomposition audit needs a normalized potential")
+    _require_normalized(phi)
     if sd is None:
         sd = pressure(phi, 1.0)
     x = np.asarray(x)
@@ -584,15 +573,7 @@ def decomposition_audit(
     birkhoff = -(birkhoff_sum(x, phi) - (n - d + 1) * sd.potential_mean) / n
     delta = -record.rel_cond_entropy
     residual = lhs - birkhoff - delta
-    return AuditRow(
-        n=n,
-        k=k,
-        lhs=lhs,
-        birkhoff=birkhoff,
-        delta=delta,
-        residual=residual,
-        bound=10.0 * k / n,
-    )
+    return AuditRow(n, k, lhs, birkhoff, delta, residual, bound=10.0 * k / n)
 
 
 def variance_audit(
@@ -608,14 +589,13 @@ def variance_audit(
     averages of the potential; the z-score scales the gap by the normal
     sampling error of a variance over that many replicas.
     """
-    if not phi.normalized:
-        raise ValueError("variance audit needs a normalized potential")
+    _require_normalized(phi)
     if sd is None:
         sd = pressure(phi, 1.0)
     theory = asymptotic_variance(phi)
-    sums = np.empty(replicas)
-    for start, paths in _replica_groups(sd, n, seed, replicas):
-        sums[start : start + len(paths)] = birkhoff_sums(paths, phi)
+    sums = np.concatenate(
+        [birkhoff_sums(paths, phi) for paths in _replica_groups(sd, n, seed, replicas)]
+    )
     empirical = float(np.var(sums / n, ddof=1)) * n
     scale = theory * math.sqrt(2.0 / (replicas - 1))
     if scale > 0:
@@ -745,8 +725,6 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
 def _fmt(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -765,14 +743,34 @@ def write_report(report: LdpReport, out_dir: str) -> dict[str, str]:
     All floats carry 12 significant digits; the timestamp lives only in
     report.json so the tables stay byte-identical across reruns.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "report": os.path.join(out_dir, "report.json"),
-        "samples": os.path.join(out_dir, "samples.csv"),
-        "scgf": os.path.join(out_dir, "scgf.csv"),
-        "rate": os.path.join(out_dir, "rate.csv"),
-        "audit": os.path.join(out_dir, "audit.csv"),
+    tables = {
+        "samples": (
+            "n,k,replica,seed,"
+            "block_entropy,cond_entropy,rel_entropy,rel_cond_entropy",
+            [
+                (r.n, r.k, r.replica, r.seed, *astuple(r.record)[2:])
+                for r in report.samples
+            ],
+        ),
+        "scgf": (
+            "t,exact_n,mc,stderr,entropy_scgf,information_scgf",
+            [
+                (r.t, r.exact, r.mc, r.stderr, r.entropy_scgf, r.information_scgf)
+                for r in report.scgf
+            ],
+        ),
+        "rate": (
+            "u,emp_rate,entropy_rate_theory,relative_rate_theory",
+            [astuple(r) for r in report.rate],
+        ),
+        "audit": (
+            "n,k,lhs,birkhoff,delta,residual,bound",
+            [astuple(r) for r in report.audit],
+        ),
     }
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {"report": os.path.join(out_dir, "report.json")}
+    paths.update((name, os.path.join(out_dir, f"{name}.csv")) for name in tables)
     payload = {
         "config": report.config.to_json_dict(),
         "rng": RNG_NAME,
@@ -782,46 +780,6 @@ def write_report(report: LdpReport, out_dir: str) -> dict[str, str]:
     with open(paths["report"], "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    _write_csv(
-        paths["samples"],
-        "n,k,replica,seed," + EntropyRecord.CSV_HEADER.split(",", 2)[2],
-        [
-            (
-                row.n,
-                row.k,
-                row.replica,
-                row.seed,
-                row.record.block_entropy,
-                row.record.cond_entropy,
-                row.record.rel_entropy,
-                row.record.rel_cond_entropy,
-            )
-            for row in report.samples
-        ],
-    )
-    _write_csv(
-        paths["scgf"],
-        "t,exact_n,mc,stderr,entropy_scgf,information_scgf",
-        [
-            (row.t, row.exact, row.mc, row.stderr, row.entropy_scgf, row.information_scgf)
-            for row in report.scgf
-        ],
-    )
-    _write_csv(
-        paths["rate"],
-        "u,emp_rate,entropy_rate_theory,relative_rate_theory",
-        [
-            (row.u, row.empirical, row.entropy_rate, row.relative_rate)
-            for row in report.rate
-        ],
-    )
-    _write_csv(
-        paths["audit"],
-        "n,k,lhs,birkhoff,delta,residual,bound",
-        [
-            (row.n, row.k, row.lhs, row.birkhoff, row.delta, row.residual, row.bound)
-            for row in report.audit
-        ],
-    )
+    for name, (header, rows) in tables.items():
+        _write_csv(paths[name], header, rows)
     return paths

@@ -113,6 +113,11 @@ class MarkovPotential:
         return float(self.values.max() - self.values.min()) <= tol
 
 
+def _require_normalized(phi: MarkovPotential) -> None:
+    if not phi.normalized:
+        raise ValueError("this operation requires a normalized potential")
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Perron eigendata of a transfer matrix at inverse temperature beta.
@@ -365,8 +370,7 @@ def relative_entropy_rate(nu: BlockDistribution, phi: MarkovPotential) -> float:
     potential is deeper than j, nu is extended by its own kernel.  The value
     is >= 0 with equality exactly at the equilibrium state.
     """
-    if not phi.normalized:
-        raise ValueError("relative entropy rate needs a normalized potential")
+    _require_normalized(phi)
     if not nu.stationary:
         raise ValueError("nu must be stationary")
     if nu.alphabet_size != phi.alphabet_size:
@@ -414,14 +418,13 @@ def direct_pressure_estimate(phi: MarkovPotential, beta: float, n: int) -> float
 
     S_n is the n-term running sum of beta*phi along the string, the last
     k-1 terms completed by the most favorable continuation (a sup over the
-    cylinder).  Computed exactly by a transfer recursion plus a boundary
-    dynamic program; converges to the pressure at rate O(1/n).
+    cylinder).  Computed exactly, without enumerating strings, by a scaled
+    transfer recursion plus a boundary dynamic program, in O(n V**2) for
+    V = A**(k-1); converges to the pressure at rate O(1/n).
     """
     A, k = phi.alphabet_size, phi.k
     if n < k:
         raise ValueError("need n >= k")
-    if A**n > 1 << 24:
-        raise ValueError("direct pressure estimate limited to A**n <= 2**24")
     V = A ** (k - 1)
     psi = beta * phi.values
     shift = float(psi.max())

@@ -32,6 +32,7 @@ from .pressure import (
     SpectralData,
     _arc_matrix,
     _perron,
+    _require_normalized,
     _scaled_power,
     equilibrium_blocks,
     pressure,
@@ -63,11 +64,6 @@ _VARIANCE_STEP = 1e-3
 
 #: Betas used for the zero-temperature (large-beta) entropy estimate.
 _ZERO_TEMP_BETAS = (64.0, 128.0, 256.0)
-
-
-def _require_normalized(phi: MarkovPotential) -> None:
-    if not phi.normalized:
-        raise ValueError("this operation requires a normalized potential")
 
 
 def extreme_mean(phi: MarkovPotential, which: str = "min") -> float:

@@ -229,10 +229,12 @@ def write_path_file(
 def read_path_file(path: str) -> tuple[np.ndarray, int, int]:
     """Inverse of :func:`write_path_file`: returns (symbols, |A|, seed)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _PATH_MAGIC:
+        header = fh.read(28)
+        if header[:4] != _PATH_MAGIC:
             raise ValueError("not a path file (bad magic)")
-        alphabet_size, n, seed = struct.unpack("<QQQ", fh.read(24))
+        if len(header) != 28:
+            raise ValueError("truncated path file")
+        alphabet_size, n, seed = struct.unpack("<QQQ", header[4:])
         data = np.frombuffer(fh.read(n), dtype=np.uint8)
     if data.size != n:
         raise ValueError("truncated path file")

@@ -30,6 +30,7 @@ from .blocks import (
     block_counts,
     empirical_block_measure,
 )
+from .entropy import conditional_block_entropy
 
 __all__ = [
     "CountTable",
@@ -268,8 +269,6 @@ def type_class_size(table: CountTable, mode: str = "exact"):
     degrees = [int(r) for r in table.out_degrees() if r > 0]
     lower = Fraction(math.prod(math.factorial(r - 1) for r in degrees), denom)
     upper = Fraction(table.n * math.prod(math.factorial(r) for r in degrees), denom)
-
-    from .entropy import conditional_block_entropy  # local to avoid cycle
 
     h = conditional_block_entropy(table.to_distribution())
     n, n_words = table.n, table.alphabet_size**table.k

@@ -74,6 +74,7 @@ def test_exit_code_malformed_json(tmp_path, capsys):
         {"potential": {"type": "markov"}},
         {"potential": {"type": "values", "alphabet_size": 2, "k": 2}},
         {"n_grid": 5},
+        {"n_grid": "64"},
         {"replicas": "3"},
         {"seed": 1.5},
         {"beta": "x"},
@@ -145,6 +146,19 @@ def test_estimate_alphabet_mismatch(config_file, tmp_path, capsys):
     sim = json.loads(capsys.readouterr().out)
     assert main(["estimate", "--config", config_file, "--path", sim["path_file"]]) == 1
     assert "alphabet" in capsys.readouterr().err
+
+
+def test_estimate_unreadable_path_file(config_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.bin")
+    assert main(["estimate", "--config", config_file, "--path", missing]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read path file")
+    out_dir = str(tmp_path / "sim4")
+    assert main(["simulate", "--config", config_file, "--out", out_dir, "--n", "64"]) == 0
+    sim = json.loads(capsys.readouterr().out)
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(open(sim["path_file"], "rb").read()[:10])
+    assert main(["estimate", "--config", config_file, "--path", str(truncated)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_rate_outputs(config_file, tmp_path, capsys):

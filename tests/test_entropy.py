@@ -206,14 +206,6 @@ def test_plug_in_rel_cond_entropy_is_context_kl(chain_spectral, n, k):
     )
 
 
-def test_entropy_record_csv_row():
-    rec = bt.EntropyRecord(10, 2, 1.0, 0.5, None, None)
-    assert bt.EntropyRecord.CSV_HEADER.startswith("n,k,")
-    row = rec.csv_row(lambda v: f"{v:.6g}")
-    assert row.split(",")[:4] == ["10", "2", "1", "0.5"]
-    assert row.endswith(",,")  # absent relative fields stay empty
-
-
 def test_continuity_bound_validates_delta():
     assert bt.continuity_bound(0.1, 2, 2) == pytest.approx(
         -2 * 0.1 * math.log(0.1 / 4), abs=1e-15

@@ -98,7 +98,8 @@ def test_potential_from_config_forms(chain_potential):
     np.testing.assert_allclose(markov.values, chain_potential.values, atol=1e-15)
     bern = bt.potential_from_config({"type": "bernoulli", "p": [0.25, 0.75]})
     assert bern.k == 1 and bern.normalized
-    np.testing.assert_allclose(bern.values, np.log([0.25, 0.75]), atol=1e-15)
+    p = np.array([0.25, 0.75])
+    np.testing.assert_array_equal(bern.values, np.log(p / p.sum()))
     # explicit values: accepted when already normalized ...
     vals = bt.potential_from_config(
         {
@@ -141,6 +142,8 @@ def test_potential_from_config_forms(chain_potential):
         {"type": "bernoulli", "p": [0.5]},
         {"type": "bernoulli", "p": [0.6, 0.6]},
         {"type": "bernoulli", "p": [1.0, 0.0]},
+        {"type": "markov", "transition": [[1.0]]},
+        {"type": "bernoulli", "p": [[0.5, 0.5]]},
         {"type": "gibbs"},
     ],
 )

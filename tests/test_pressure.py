@@ -190,8 +190,12 @@ def test_direct_pressure_estimate(chain_potential):
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     with pytest.raises(ValueError):
         bt.direct_pressure_estimate(chain_potential, 1.0, 1)
-    with pytest.raises(ValueError):
-        bt.direct_pressure_estimate(chain_potential, 1.0, 40)
+    # no enumeration cap: the transfer recursion runs at any length
+    gap40 = abs(bt.direct_pressure_estimate(chain_potential, 1.0, 40))
+    assert math.isfinite(gap40) and gap40 < gaps[-1]
+    rng = np.random.default_rng(3)
+    phi4 = bt.normalize_potential(bt.MarkovPotential(4, 3, rng.normal(size=64)))[0]
+    assert math.isfinite(bt.direct_pressure_estimate(phi4, 1.0, 13))  # 4**13 > 2**24
 
 
 def test_pressure_failure_modes(chain_potential):

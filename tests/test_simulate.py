@@ -192,6 +192,11 @@ def test_path_file_error_modes(tmp_path):
     trunc.write_bytes(blob[:-2])
     with pytest.raises(ValueError):
         bt.read_path_file(str(trunc))
+    # header cut short
+    short = tmp_path / "short.bin"
+    short.write_bytes(blob[:12])
+    with pytest.raises(ValueError, match="truncated"):
+        bt.read_path_file(str(short))
     # symbol outside the declared alphabet
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(blob[:-1] + b"\x07")
