@@ -366,8 +366,12 @@ def run_lln(config: ExperimentConfig) -> LdpReport:
     replica gets its own recorded seed, and the per-replica records carry
     all four plug-in estimates against the exact equilibrium k-blocks.
     """
-    phi, sd = _effective_spectral(config)
-    A = phi.alphabet_size
+    return _run_lln(config, _effective_spectral(config)[1])
+
+
+def _run_lln(config: ExperimentConfig, sd: SpectralData) -> LdpReport:
+    """:func:`run_lln` on the config's resolved spectrum ``sd``."""
+    A = sd.potential.alphabet_size
     samples: list[SampleRow] = []
     summaries: list[LlnSummary] = []
     for n in config.n_grid:
@@ -623,7 +627,7 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     """
     phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
-    lln_report = run_lln(config)
+    lln_report = _run_lln(config, sd)
 
     scgf_rows: list[ScgfRow] = []
     exact_ok = A**config.exact_n <= _EXACT_STRING_CAP

@@ -8,15 +8,17 @@ at every vertex) is exactly stationarity of the normalized table, and a
 by reading an Eulerian circuit.
 
 This module provides: exhaustive type enumeration (small n), exact type
-class sizes and the factorial / entropy sandwich bounds, deterministic
-Eulerian realization, rounding of an arbitrary stationary law to a nearby
-realizable type, and the decomposition of a stationary law into a convex
-combination of simple-cycle measures.
+class sizes in closed form by the BEST theorem (van Aardenne-Ehrenfest and
+de Bruijn, 1951) with Tutte's matrix-tree theorem, the factorial / entropy
+sandwich bounds, deterministic Eulerian realization, rounding of an
+arbitrary stationary law to a nearby realizable type, and the decomposition
+of a stationary law into a convex combination of simple-cycle measures.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +51,10 @@ __all__ = [
 
 #: Chunk budget (total matrix cells) for exhaustive string enumeration.
 _CHUNK_CELLS = 1 << 22
+#: The smaller chunk budget of the type census, which keeps only distinct
+#: rows: its result does not depend on the chunking, and its transient
+#: memory stays under 1 MiB.
+_CENSUS_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -188,11 +194,12 @@ def enumerate_strings_chunk(lo: int, hi: int, n: int, alphabet_size: int) -> np.
 
 
 def _chunked_count_matrices(
-    n: int, k: int, alphabet_size: int
+    n: int, k: int, alphabet_size: int, cells: int = _CHUNK_CELLS
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (strings, cyclic k-block counts) for all A**n strings, in chunks."""
+    """Yield (strings, cyclic k-block counts) for all A**n strings, in
+    chunks of about ``cells`` matrix cells."""
     total = alphabet_size**n
-    rows = max(1, _CHUNK_CELLS // max(alphabet_size**k, n))
+    rows = max(1, cells // max(alphabet_size**k, n))
     for lo in range(0, total, rows):
         x = enumerate_strings_chunk(lo, min(lo + rows, total), n, alphabet_size)
         yield x, block_counts(x, k, alphabet_size)
@@ -202,8 +209,9 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
     """All distinct cyclic k-block types of strings of length n.
 
     Exhausts the A**n strings (guarded), so only viable at desk scale; the
-    count is at most (n+1)**(A**k).  Types are returned in lexicographic
-    order of their count vectors.
+    count is at most (n+1)**(A**k).  Each chunk of strings is cut to its
+    distinct count rows, which are merged every 64 chunks.  Types are
+    returned in lexicographic order of their count vectors.
     """
     if alphabet_size < 2 or not 1 <= k <= n:
         raise ValueError(
@@ -211,8 +219,12 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
         )
     if alphabet_size**n > 1 << 24:
         raise ValueError("type enumeration limited to A**n <= 2**24 strings")
-    chunks = [_distinct_rows(m)[0] for _, m in _chunked_count_matrices(n, k, alphabet_size)]
-    types = _distinct_rows(np.vstack(chunks))[0]
+    types, fresh = np.empty((0, alphabet_size**k), dtype=np.int64), []
+    for _, m in _chunked_count_matrices(n, k, alphabet_size, _CENSUS_CHUNK_CELLS):
+        fresh.append(_distinct_rows(m)[0])
+        if len(fresh) == 64:
+            types, fresh = _distinct_rows(np.vstack([types, *fresh]))[0], []
+    types = _distinct_rows(np.vstack([types, *fresh]))[0]
     return [
         BlockDistribution(alphabet_size, k, row / n, stationary=True) for row in types
     ]
@@ -233,8 +245,10 @@ class TypeSizeBounds:
 
     ``euler_*`` are the factorial-ratio bounds from counting Eulerian
     circuits; ``entropy_*`` are the cruder exponential bounds
-    (en)**(-2 A**k) * e**(n h_k)  <=  size  <=  (n-1) * e**(n h_k),
+    (en)**(-2 A**k) * e**(n h_k)  <=  size  <=  n * e**(n h_k),
     the latter valid for n >= 2 (for n < 2 they are reported as (0, inf)).
+    A bound past float range saturates, so both stay true bounds: an upper
+    bound at ``math.inf`` and a lower bound at ``sys.float_info.max``.
     """
 
     euler_lower: float
@@ -243,44 +257,110 @@ class TypeSizeBounds:
     entropy_upper: float
 
 
+def _bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination (every division is exact, so all entries stay integers).
+
+    ``matrix`` is overwritten.  The determinant of the empty matrix is 1.
+    """
+    size, sign, previous = len(matrix), 1, 1
+    for i in range(size):
+        pivot = next((r for r in range(i, size) if matrix[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            matrix[i], matrix[pivot] = matrix[pivot], matrix[i]
+            sign = -sign
+        top = matrix[i]
+        for row in matrix[i + 1 :]:
+            for c in range(i + 1, size):
+                row[c] = (row[c] * top[i] - row[i] * top[c]) // previous
+        previous = top[i]
+    return sign * previous
+
+
+def _spanning_arborescences(table: CountTable) -> int:
+    """t(G): the spanning arborescences of the table's support multigraph
+    into its smallest support vertex.
+
+    Tutte's matrix-tree theorem: t(G) is the determinant of the Laplacian
+    (out-degree minus adjacency, non-loop arcs weighted by their counts,
+    over the support vertices) with that vertex's row and column removed.
+    It is 0 exactly when the support is disconnected.
+    """
+    A, V = table.alphabet_size, table.vertex_count
+    support = np.flatnonzero(table.out_degrees()).tolist()
+    index = {u: i for i, u in enumerate(support)}
+    laplacian = [[0] * len(support) for _ in support]
+    for w in np.flatnonzero(table.counts).tolist():
+        tail, head = index[w // A], index[w % V]
+        if tail != head:
+            count = int(table.counts[w])
+            laplacian[tail][tail] += count
+            laplacian[tail][head] -= count
+    return _bareiss_determinant([row[1:] for row in laplacian[1:]])
+
+
+def _saturate(bound, limit: float) -> float:
+    """``bound()`` as a float, or ``limit`` when it overflows float range."""
+    try:
+        return float(bound())
+    except OverflowError:
+        return limit
+
+
 def type_class_size(table: CountTable, mode: str = "exact"):
     """Number of strings whose cyclic type is ``table`` (exact or bounded).
 
-    Exact mode enumerates all A**n strings and requires A**n <= 2**16.  Bounds
-    mode evaluates, per vertex u with outgoing count R_u > 0,
+    Exact mode counts, with no string enumerated, by the BEST theorem (van
+    Aardenne-Ehrenfest and de Bruijn, 1951): with R_u the outgoing count of
+    vertex u and N_w the count of word w,
+
+        |T| = n * t(G) * prod (R_u - 1)! / prod N_w!,
+
+    where t(G), the number of spanning arborescences into one support
+    vertex, is an exact integer determinant of a Laplacian minor (Tutte's
+    matrix-tree theorem).  A disconnected table has t(G) = 0 and no string;
+    for k = 1 there is one vertex, t(G) = 1, and |T| is the multinomial
+    n! / prod N_w!.  Bounds mode evaluates, per vertex u with R_u > 0,
 
         prod (R_u - 1)! / prod N_w!   and   n * prod R_u! / prod N_w!
 
     (exact rational arithmetic), plus the entropy-form pair; the exact size
-    always lies inside both intervals.
+    of a connected table lies inside both intervals.
     """
-    if mode == "exact":
-        if table.alphabet_size**table.n > 1 << 16:
-            raise ValueError("exact type class size limited to A**n <= 2**16 strings")
-        target = table.counts
-        matches = 0
-        for _, m in _chunked_count_matrices(table.n, table.k, table.alphabet_size):
-            matches += int((m == target).all(axis=1).sum())
-        return matches
-    if mode != "bounds":
+    if mode not in ("exact", "bounds"):
         raise ValueError(f"mode must be 'exact' or 'bounds', got {mode!r}")
-
+    if table.n == 0:
+        raise ValueError("cannot size an empty count table")
+    n = table.n
     denom = math.prod(math.factorial(int(c)) for c in table.counts if c > 0)
     degrees = [int(r) for r in table.out_degrees() if r > 0]
-    lower = Fraction(math.prod(math.factorial(r - 1) for r in degrees), denom)
-    upper = Fraction(table.n * math.prod(math.factorial(r) for r in degrees), denom)
+    circuits = math.prod(math.factorial(r - 1) for r in degrees)
+    if mode == "exact":
+        return n * _spanning_arborescences(table) * circuits // denom
 
+    lower = Fraction(circuits, denom)
+    upper = Fraction(n * math.prod(math.factorial(r) for r in degrees), denom)
     h = conditional_block_entropy(table.to_distribution())
-    n, n_words = table.n, table.alphabet_size**table.k
+    n_words = table.alphabet_size**table.k
     if n >= 2:
-        ent_lo = math.exp(n * h - 2 * n_words * math.log(math.e * n))
+        ent_lo = _saturate(
+            lambda: math.exp(n * h - 2 * n_words * math.log(math.e * n)),
+            sys.float_info.max,
+        )
         # The factor n (not n-1) is forced by zero-entropy aperiodic
         # necklaces, whose class is all n rotations; it also follows from
         # the factorial upper bound since prod R_u!/prod N_w! <= e^{n h}.
-        ent_hi = n * math.exp(n * h)
+        ent_hi = _saturate(lambda: n * math.exp(n * h), math.inf)
     else:
         ent_lo, ent_hi = 0.0, math.inf
-    return TypeSizeBounds(float(lower), float(upper), ent_lo, ent_hi)
+    return TypeSizeBounds(
+        _saturate(lambda: lower, sys.float_info.max),
+        _saturate(lambda: upper, math.inf),
+        ent_lo,
+        ent_hi,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,15 @@ def test_types_audit_output(tmp_path, capsys):
         assert float(cells[6]) <= exact <= float(cells[7])
         total += exact
     assert total == 2**4  # every string belongs to exactly one type
-    assert main(["types-audit", "--n", "20"]) == 1
+    # the type census refuses 2**25 strings before it enumerates any
+    assert main(["types-audit", "--out", str(out_dir), "--n", "25"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    # exact sizes reach as far as the census does: 2**18 strings
+    wide_dir = tmp_path / "wide"
+    assert main(["types-audit", "--out", str(wide_dir), "--n", "18"]) == 0
     capsys.readouterr()
+    wide = (wide_dir / "types_audit.csv").read_text().splitlines()[1:]
+    assert sum(int(line.split(",")[3]) for line in wide) == 2**18
     for flag, value in (("--alphabet", "1"), ("--alphabet", "0"), ("--k", "-1")):
         assert main(["types-audit", flag, value]) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
 
@@ -119,6 +121,9 @@ def test_type_class_size_worked_examples():
     # constant string: exact 1
     const = bt.CountTable(2, 2, 5, np.array([5, 0, 0, 0]))
     assert bt.type_class_size(const, mode="exact") == 1
+    # loops at 0 and at 1, with no arc between them: no string
+    loops = bt.CountTable(2, 2, 6, np.array([3, 0, 0, 3]))
+    assert bt.type_class_size(loops, mode="exact") == 0
     # n=4, k=1, counts (2,2): exact C(4,2)=6, Euler bounds [1.5, 24]
     binom = bt.CountTable(2, 1, 4, np.array([2, 2]))
     assert bt.type_class_size(binom, mode="exact") == 6
@@ -127,12 +132,34 @@ def test_type_class_size_worked_examples():
     assert b1.euler_upper == pytest.approx(24.0)
 
 
-def test_type_class_size_exact_guards_string_count():
-    # the exact census is capped at A**n <= 2**16 strings, whatever A is
-    with pytest.raises(ValueError):
-        bt.type_class_size(bt.CountTable(3, 1, 12, np.array([4, 4, 4])), mode="exact")
+def test_type_class_size_exact_past_census_reach():
+    # 3**12 strings: past the reach of the old string census
+    even = bt.CountTable(3, 1, 12, np.array([4, 4, 4]))
+    assert bt.type_class_size(even, mode="exact") == 34650
+    assert 34650 == math.factorial(12) // math.factorial(4) ** 3
     half = bt.CountTable(2, 1, 16, np.array([8, 8]))
     assert bt.type_class_size(half, mode="exact") == math.comb(16, 8)
+    # a 295-digit class at n = 1000, k = 3
+    x = np.random.default_rng(0).integers(0, 2, size=1000)
+    table = bt.CountTable(2, 3, 1000, bt.block_counts(x, 3, 2))
+    exact = bt.type_class_size(table, mode="exact")
+    assert isinstance(exact, int) and len(str(exact)) == 295
+    bounds = bt.type_class_size(table, mode="bounds")
+    assert bounds.euler_lower <= exact <= bounds.euler_upper
+    with pytest.raises(ValueError):
+        bt.type_class_size(bt.CountTable(2, 2, 0, np.zeros(4)), mode="exact")
+
+
+def test_type_class_size_bounds_saturate_past_float_range():
+    # at n = 4000 all four bounds leave float range and saturate
+    x = np.random.default_rng(4).integers(0, 2, size=4000)
+    table = bt.CountTable(2, 3, 4000, bt.block_counts(x, 3, 2))
+    exact = bt.type_class_size(table, mode="exact")
+    bounds = bt.type_class_size(table, mode="bounds")
+    assert bounds.euler_lower == bounds.entropy_lower == sys.float_info.max
+    assert bounds.euler_upper == bounds.entropy_upper == math.inf
+    assert bounds.euler_lower <= exact <= bounds.euler_upper
+    assert bounds.entropy_lower <= exact <= bounds.entropy_upper
 
 
 def test_type_class_size_matches_brute_force_oracle():
@@ -146,6 +173,50 @@ def test_type_class_size_matches_brute_force_oracle():
         assert bt.type_class_size(table, mode="exact") == _exact_type_size_oracle(
             counts, n, k, A
         )
+
+
+@st.composite
+def _balanced_tables(draw, max_strings=None):
+    """Sums of the cyclic count tables of one to three strings, each random
+    or constant: balanced, and disconnected when the strings' supports
+    share no vertex.  With ``max_strings`` the total length n keeps A**n
+    within it."""
+    A = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 4))
+    n_max = int(math.log(max_strings, A) + 1e-9) if max_strings else 40
+    counts = np.zeros(A**k, dtype=np.int64)
+    n = 0
+    for _ in range(draw(st.integers(1, 3))):
+        if n_max - n < k:
+            break
+        constant = st.just(draw(st.integers(0, A - 1)))
+        symbols = draw(st.sampled_from([st.integers(0, A - 1), constant]))
+        x = draw(st.lists(symbols, min_size=k, max_size=n_max - n))
+        counts += _cyclic_counts_purepython(x, k, A)
+        n += len(x)
+    return bt.CountTable(A, k, n, counts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_balanced_tables(max_strings=2**12))
+def test_type_class_size_equals_census_property(table):
+    A, k, n = table.alphabet_size, table.k, table.n
+    assert bt.type_class_size(table, mode="exact") == _exact_type_size_oracle(
+        table.counts, n, k, A
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_balanced_tables())
+def test_type_class_size_connectivity_and_sandwich_property(table):
+    exact = bt.type_class_size(table, mode="exact")
+    if len(_union_components(table.counts, table.alphabet_size, table.k)) > 1:
+        assert exact == 0
+        return
+    assert exact >= 1
+    b = bt.type_class_size(table, mode="bounds")
+    assert b.euler_lower * (1 - 1e-9) <= exact <= b.euler_upper * (1 + 1e-9)
+    assert b.entropy_lower * (1 - 1e-9) <= exact <= b.entropy_upper * (1 + 1e-9)
 
 
 def test_realize_sample_worked_examples():
