@@ -44,14 +44,14 @@ from .pressure import (
 )
 from .rates import (
     _entropy_rates,
-    asymptotic_variance,
+    _poisson_variance,
     entropy_scgf,
     information_scgf,
     relative_rate_function,
     zero_temperature_entropy,
 )
 from .simulate import RNG_NAME, birkhoff_sum, birkhoff_sums, sample_paths
-from .typegraphs import _chunked_count_matrices
+from .typegraphs import _chunked_count_matrices, _too_many_strings
 
 __all__ = [
     "AuditRow",
@@ -206,9 +206,10 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
 
     Forms: {"type": "markov", "transition": rows} for a k=2 chain potential
     ln P[a, b]; {"type": "bernoulli", "p": probs} for k=1; or
-    {"type": "values", "alphabet_size": A, "k": k, "values": [...]} with
-    either "normalized": true (values already sum to one row-wise in
-    exponential) or "normalize": true (fold the correction in here).
+    {"type": "values", "alphabet_size": A, "k": k, "values": [...]}, which
+    must already sum to one row-wise in exponential (within 1e-8) unless
+    "normalize": true folds the correction in here.  A "normalized" key is
+    accepted and changes nothing: normalized values are detected.
     """
     kind = spec.get("type")
 
@@ -235,8 +236,6 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
         alphabet_size = int(entry("alphabet_size"))
         k = int(entry("k"))
         values = np.asarray(entry("values"), dtype=float)
-        if bool(spec.get("normalized", False)):
-            return MarkovPotential(alphabet_size, k, values, normalized=True)
         raw = MarkovPotential(alphabet_size, k, values)
         if bool(spec.get("normalize", False)):
             return normalize_potential(raw)[0]
@@ -448,7 +447,7 @@ def _exact_finite_scgf_grid(
     A = phi.alphabet_size
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
-    if A**n > _EXACT_STRING_CAP:
+    if _too_many_strings(A, n, _EXACT_STRING_CAP):
         raise ValueError("alphabet**n exceeds the exhaustive enumeration cap")
     if sd is None:
         sd = pressure(phi, 1.0)
@@ -596,7 +595,7 @@ def variance_audit(
     _require_normalized(phi)
     if sd is None:
         sd = pressure(phi, 1.0)
-    theory = asymptotic_variance(phi)
+    theory = _poisson_variance(sd)
     sums = np.concatenate(
         [birkhoff_sums(paths, phi) for paths in _replica_groups(sd, n, seed, replicas)]
     )
@@ -630,7 +629,7 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     lln_report = _run_lln(config, sd)
 
     scgf_rows: list[ScgfRow] = []
-    exact_ok = A**config.exact_n <= _EXACT_STRING_CAP
+    exact_ok = not _too_many_strings(A, config.exact_n, _EXACT_STRING_CAP)
     exact_values: Sequence[Optional[float]] = (
         _exact_finite_scgf_grid(
             phi, config.exact_n, config.exact_k, config.t_grid, config.functional, sd

@@ -14,6 +14,14 @@ between the zero-temperature entropy and ln A, linear below) and
 ``relative_rate_function`` (the identity on its domain).  Extreme cycle
 means come from Karp's minimum-mean-cycle recursion, independent of any
 eigenvalue machinery.
+
+Two spectral quantities each have one route.  The central-limit variance
+sigma^2, the SCGFs' common curvature at t = 0, comes from one
+Poisson-equation solve at beta = 1 (``asymptotic_variance``); the same
+solve at any beta gives the slope dh/dbeta = -beta sigma^2_beta that the
+rate function's root search steps with.  The zero-temperature entropy and
+the rate function's linear branch both start from one tilt probe: the
+largest tilt up to 256 whose transfer spectrum is computable.
 """
 
 from __future__ import annotations
@@ -23,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import measure_functional
-from .blocks import BlockDistribution
 from .pressure import (
     ConvergenceError,
     MarkovPotential,
@@ -34,9 +40,7 @@ from .pressure import (
     _perron,
     _require_normalized,
     _scaled_power,
-    equilibrium_blocks,
     pressure,
-    relative_entropy_rate,
 )
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "entropy_rate_function",
     "entropy_scgf",
     "extreme_mean",
-    "fixed_k_rate_lower",
     "information_scgf",
     "legendre",
     "rate_curve",
@@ -58,12 +61,6 @@ __all__ = [
 
 #: Bisection ceiling for inverse-temperature searches.
 _BETA_MAX = 256.0
-
-#: Second-difference step of the asymptotic-variance curvature estimate.
-_VARIANCE_STEP = 1e-3
-
-#: Betas used for the zero-temperature (large-beta) entropy estimate.
-_ZERO_TEMP_BETAS = (64.0, 128.0, 256.0)
 
 
 def extreme_mean(phi: MarkovPotential, which: str = "min") -> float:
@@ -167,13 +164,16 @@ def entropy_curve(
 
 
 def zero_temperature_entropy(phi: MarkovPotential) -> tuple[float, bool]:
-    """Large-beta entropy limit, estimated at beta = 64, 128, 256.
+    """Large-beta entropy limit, estimated at the largest feasible tilt.
 
-    Returns the beta = 256 value and a convergence flag: True when the
-    consecutive gaps have closed below 1e-4 (Cauchy check), False when the
+    beta_top comes from the tilt probe ``_largest_feasible_tilt`` (256
+    unless that spectrum underflows).  Returns the entropy at beta_top and
+    a convergence flag: True when the gaps between beta_top/4, beta_top/2
+    and beta_top have closed below 1e-4 (Cauchy check), False when the
     limit has visibly not settled yet.
     """
-    h = [pressure(phi, b).entropy for b in _ZERO_TEMP_BETAS]
+    beta_top, sd_top = _largest_feasible_tilt(phi)
+    h = [pressure(phi, beta_top / d).entropy for d in (4.0, 2.0)] + [sd_top.entropy]
     gap = max(abs(h[1] - h[0]), abs(h[2] - h[1]))
     return h[2], gap < 1e-4
 
@@ -475,63 +475,15 @@ def legendre(curve: RateCurve, x: float) -> float:
 
 
 def asymptotic_variance(phi: MarkovPotential, route: str = "information") -> float:
-    """Central-limit variance of Birkhoff sums of phi, as the curvature at
-    zero of an SCGF.
+    """Central-limit variance of Birkhoff sums of phi, from one
+    Poisson-equation solve at beta = 1 (``_poisson_variance``).
 
-    Richardson-extrapolated central second difference (steps h and h/2,
-    h = _VARIANCE_STEP) of
-    ``information_scgf`` by default; ``route="entropy"`` differentiates
-    ``entropy_scgf`` instead, and the two must agree (same curvature).
+    ``route`` names the SCGF whose curvature at t = 0 the variance is:
+    ``information_scgf`` P((1-t) phi) or ``entropy_scgf``
+    (t+1) P(phi/(t+1)).  Both have second derivative P''(1) at t = 0, the
+    pressure's curvature in beta, so both routes return this one value.
     """
     _require_normalized(phi)
-    fn = {"information": information_scgf, "entropy": entropy_scgf}[route]
-
-    def second_diff(h: float) -> float:
-        return (fn(phi, h) - 2.0 * fn(phi, 0.0) + fn(phi, -h)) / (h * h)
-
-    h = _VARIANCE_STEP
-    return (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
-
-
-def fixed_k_rate_lower(
-    phi: MarkovPotential,
-    k_fixed: int,
-    functional: str,
-    u: float,
-    grid_size: int | None = None,
-    tol: float = 1e-3,
-) -> float:
-    """Upper-bounding oracle for the contracted fixed-block-length rate.
-
-    Searches (k_fixed - 1)-step Markov measures over a transition-
-    probability grid, minimizing the specific relative entropy against the
-    equilibrium of ``phi`` subject to the chosen functional of the k_fixed-
-    block marginal lying within ``tol`` of ``u``.  Restricted to binary
-    alphabets and k_fixed <= 2, where the brute-force grid is dense enough
-    to be informative; returns +inf when nothing on the grid is feasible.
-    The true contracted rate need not be convex, and this search refines
-    downward — treat the result as an upper bound.
-    """
-    _require_normalized(phi)
-    if phi.alphabet_size != 2 or k_fixed not in (1, 2):
-        raise ValueError("fixed-k search supports alphabet size 2 and k_fixed <= 2")
-    sd = pressure(phi, 1.0)
-    rho_ref = equilibrium_blocks(sd, k_fixed)
-    if k_fixed == 1:
-        g = grid_size or 2000
-        p = np.arange(1, g) / g
-        laws = np.column_stack([1.0 - p, p])
-    else:
-        g = grid_size or 120
-        a, b = np.meshgrid(np.arange(1, g) / g, np.arange(1, g) / g, indexing="ij")
-        a, b = a.ravel(), b.ravel()  # a = P(1 | 0), b = P(0 | 1)
-        p0 = b / (a + b)
-        p1 = 1.0 - p0
-        laws = np.column_stack([p0 * (1 - a), p0 * a, p1 * b, p1 * (1 - b)])
-    best = math.inf
-    for w in laws:
-        nu = BlockDistribution(2, k_fixed, w, stationary=True)
-        if abs(measure_functional(functional, nu, rho_ref) - u) > tol:
-            continue
-        best = min(best, relative_entropy_rate(nu, phi))
-    return best
+    if route not in ("information", "entropy"):
+        raise ValueError(f"route must be 'information' or 'entropy', got {route!r}")
+    return _poisson_variance(pressure(phi, 1.0))

@@ -21,7 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "TypeSizeBounds",
     "components",
     "cycle_decompose",
-    "enumerate_simple_cycles",
     "enumerate_strings_chunk",
     "enumerate_types",
     "realize_sample",
@@ -205,6 +203,12 @@ def _chunked_count_matrices(
         yield x, block_counts(x, k, alphabet_size)
 
 
+def _too_many_strings(alphabet_size: int, n: int, cap: int) -> bool:
+    """True when A**n exceeds ``cap``.  The exponent is compared first, so
+    a large n is refused without building A**n (A >= 2)."""
+    return n > math.log2(cap) or alphabet_size**n > cap
+
+
 def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistribution]:
     """All distinct cyclic k-block types of strings of length n.
 
@@ -217,7 +221,7 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
         raise ValueError(
             f"need A >= 2 and 1 <= k <= n, got A={alphabet_size}, k={k}, n={n}"
         )
-    if alphabet_size**n > 1 << 24:
+    if _too_many_strings(alphabet_size, n, 1 << 24):
         raise ValueError("type enumeration limited to A**n <= 2**24 strings")
     types, fresh = np.empty((0, alphabet_size**k), dtype=np.int64), []
     for _, m in _chunked_count_matrices(n, k, alphabet_size, _CENSUS_CHUNK_CELLS):
@@ -624,31 +628,3 @@ def cycle_decompose(nu: BlockDistribution) -> list[tuple[float, CycleMeasure]]:
         cycle = [a] + path
         parts.append((m * len(cycle), CycleMeasure(A, k, tuple(cycle))))
     return parts
-
-
-@lru_cache(maxsize=None)
-def enumerate_simple_cycles(alphabet_size: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All vertex-simple directed cycles of the full de Bruijn graph.
-
-    Cycles are rooted at their smallest vertex and enumerated by depth-first
-    search restricted to vertices >= the root, so each cycle appears exactly
-    once (as a tuple of arc codes).  Exponential in general — intended for
-    desk-scale oracle work.
-    """
-    A, V = alphabet_size, alphabet_size ** (k - 1)
-    cycles: list[tuple[int, ...]] = []
-
-    def extend(root: int, u: int, arcs: list[int], visited: set[int]) -> None:
-        for b in range(A):
-            arc = u * A + b
-            v = arc % V
-            if v == root:
-                cycles.append(tuple(arcs + [arc]))
-            elif v > root and v not in visited:
-                visited.add(v)
-                extend(root, v, arcs + [arc], visited)
-                visited.remove(v)
-
-    for root in range(V):
-        extend(root, root, [], {root})
-    return tuple(cycles)

@@ -110,6 +110,13 @@ def test_potential_from_config_forms(chain_potential):
         }
     )
     assert vals.normalized
+    # ... and a "normalized" key changes nothing, on either kind of table ...
+    flagged = {"type": "values", "alphabet_size": 2, "k": 1, "normalized": True}
+    same = bt.potential_from_config({**flagged, "values": [math.log(0.5)] * 2})
+    assert same.normalized
+    np.testing.assert_array_equal(same.values, vals.values)
+    with pytest.raises(ValueError, match="normalize"):
+        bt.potential_from_config({**flagged, "values": [0.4, -0.2]})
     # ... normalized on request ...
     fixed = bt.potential_from_config(
         {
@@ -177,6 +184,10 @@ def test_exact_finite_scgf_guards(chain_potential):
         bt.exact_finite_scgf(chain_potential, 4, 5, 0.5)
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(chain_potential, 30, 2, 0.5)  # 2**30 strings
+    # a huge n is refused on its exponent, without building 3**n
+    phi_a3 = bt.potential_from_config({"type": "bernoulli", "p": [0.2, 0.3, 0.5]})
+    with pytest.raises(ValueError):
+        bt.exact_finite_scgf(phi_a3, 10**9, 2, 0.5)
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(chain_potential, 6, 2, 0.5, "entropy")
     raw = bt.MarkovPotential(2, 2, np.array([0.1, 0.0, -0.3, 0.2]))
@@ -225,7 +236,7 @@ def test_decomposition_audit(chain_potential, chain_spectral):
 
 def test_variance_audit(chain_potential, chain_spectral):
     out = bt.variance_audit(chain_potential, 2048, 200, seed=1, sd=chain_spectral)
-    assert out.theory == pytest.approx(0.49854083516986947, abs=1e-6)
+    assert out.theory == pytest.approx(0.4985408392082033, abs=1e-6)
     assert math.isfinite(out.z)
     assert abs(out.z) < 5.0
     assert out.empirical == pytest.approx(out.theory, rel=0.5)
@@ -328,5 +339,5 @@ def test_run_ldp_audit_and_scgf_content(tmp_path):
     for row in report.audit:
         assert abs(row.residual) <= row.bound
     assert report.summary["sigma2_theory"] == pytest.approx(
-        0.49854083516986947, abs=1e-6
+        0.4985408392082033, abs=1e-6
     )

@@ -11,7 +11,13 @@ import pytest
 import blocktropy as bt
 from blocktropy import rates
 
-from conftest import CHAIN_ENTROPY, _random_potential
+from conftest import (
+    CHAIN_ENTROPY,
+    _random_potential,
+    enumerate_simple_cycles,
+    fixed_k_rate_upper,
+    richardson_variance,
+)
 
 CHAIN_MAX_MEAN = math.log(0.9)
 CHAIN_MIN_MEAN = (math.log(0.1) + math.log(0.2)) / 2.0
@@ -21,7 +27,7 @@ def _cycle_mean_oracle(phi: bt.MarkovPotential, which: str) -> float:
     """Exhaustive mean over all vertex-simple cycles of the word graph."""
     means = [
         sum(phi.values[a] for a in cyc) / len(cyc)
-        for cyc in bt.enumerate_simple_cycles(phi.alphabet_size, phi.k)
+        for cyc in enumerate_simple_cycles(phi.alphabet_size, phi.k)
     ]
     return min(means) if which == "min" else max(means)
 
@@ -175,13 +181,20 @@ def test_entropy_curve_monotone(chain_potential):
 
 
 def test_asymptotic_variance_chain(chain_potential):
+    # summing the autocovariances of phi on the chain's pair chain (400 lags,
+    # float64) gives this value
     v_info = bt.asymptotic_variance(chain_potential, "information")
     v_entr = bt.asymptotic_variance(chain_potential, "entropy")
-    assert v_info == pytest.approx(0.49854083516986947, abs=1e-6)
-    assert abs(v_info - v_entr) < 1e-6
+    assert v_info == pytest.approx(0.4985408392082033, abs=1e-12)
+    assert v_info == v_entr
     # a constant potential has no fluctuations at all
     flat = bt.MarkovPotential(2, 1, np.log([0.5, 0.5]), normalized=True)
     assert bt.asymptotic_variance(flat) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_asymptotic_variance_rejects_unknown_route(chain_potential):
+    with pytest.raises(ValueError, match="route"):
+        bt.asymptotic_variance(chain_potential, "renyi")
 
 
 def test_zero_temperature_entropy(chain_potential):
@@ -214,20 +227,34 @@ def test_zero_temperature_entropy_drawn_pool():
         assert -1e-9 <= h_inf <= math.log(A) + 1e-9, (A, k)
 
 
-def test_fixed_k_rate_lower(chain_potential):
+def test_zero_temperature_entropy_backs_off_with_the_tilt_probe():
+    # normalized primitive draws whose beta = 256 spectrum is not computable:
+    # the estimate moves to the probe's largest feasible tilt (128 or 32)
+    rng = np.random.default_rng(0)
+    for i in range(181):
+        A, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        values = rng.uniform(0.5, 3) * rng.standard_normal(A**k)
+        if i not in (10, 71, 93, 155, 180):
+            continue
+        phi = bt.normalize_potential(bt.MarkovPotential(A, k, values))[0]
+        h_inf, _ = bt.zero_temperature_entropy(phi)
+        assert 0.0 <= h_inf <= math.log(A), (i, h_inf)
+
+
+def test_fixed_k_rate_upper(chain_potential):
     # the grid search over depth-limited competitors upper-bounds the true
     # rate and approaches it as the allowed depth grows
     u = 0.55
     true_rate = bt.entropy_rate_function(chain_potential, u)
-    up1 = bt.fixed_k_rate_lower(chain_potential, 1, "conditional", u)
-    up2 = bt.fixed_k_rate_lower(chain_potential, 2, "conditional", u)
+    up1 = fixed_k_rate_upper(chain_potential, 1, "conditional", u)
+    up2 = fixed_k_rate_upper(chain_potential, 2, "conditional", u)
     assert up1 >= up2 >= true_rate - 1e-9
     assert up2 <= true_rate + 0.02
     with pytest.raises(ValueError):
-        bt.fixed_k_rate_lower(chain_potential, 3, "conditional", u)
+        fixed_k_rate_upper(chain_potential, 3, "conditional", u)
     trip = bt.MarkovPotential(3, 1, np.log(np.full(3, 1 / 3)), normalized=True)
     with pytest.raises(ValueError):
-        bt.fixed_k_rate_lower(trip, 1, "conditional", 0.5)
+        fixed_k_rate_upper(trip, 1, "conditional", 0.5)
 
 
 def test_scgf_t_one_is_renyi_collision_point(chain_potential, chain_spectral):
@@ -326,8 +353,9 @@ def test_poisson_variance_matches_curvature_routes(chain_potential):
     for phi in [chain_potential] + drawn:
         sigma2 = rates._poisson_variance(bt.pressure(phi, 1.0))
         for route in ("information", "entropy"):
+            assert bt.asymptotic_variance(phi, route) == sigma2, route
             assert sigma2 == pytest.approx(
-                bt.asymptotic_variance(phi, route), abs=1e-6
+                richardson_variance(phi, route), abs=1e-6
             ), route
         # dh/dbeta = -beta sigma^2_beta against a central difference
         for beta in (0.3, 1.0, 2.5):

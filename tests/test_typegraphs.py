@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
+from conftest import enumerate_simple_cycles
 
 
 def _cyclic_counts_purepython(x, k, A):
@@ -72,8 +73,10 @@ def test_enumerate_types_tiny_frozen():
     assert len(bt.enumerate_types(1, 1, 3)) == 3
 
 
+# the last case is refused on its exponent, without building 3**(10**9)
 @pytest.mark.parametrize(
-    "n, k, A", [(8, 2, 1), (8, 2, 0), (8, 2, -2), (8, 0, 2), (8, -1, 2), (2, 3, 2)]
+    "n, k, A",
+    [(8, 2, 1), (8, 2, 0), (8, 2, -2), (8, 0, 2), (8, -1, 2), (2, 3, 2), (10**9, 2, 3)],
 )
 def test_enumerate_types_rejects_bad_shapes(n, k, A):
     with pytest.raises(ValueError):
@@ -296,7 +299,7 @@ def test_components_ordering():
     rng = np.random.default_rng(10)
     multi = 0
     for A, k in ((2, 3), (2, 4), (3, 2), (3, 3)):
-        cycles = bt.enumerate_simple_cycles(A, k)
+        cycles = enumerate_simple_cycles(A, k)
         for _ in range(40):
             counts = np.zeros(A**k, dtype=np.int64)
             used: set[int] = set()
@@ -486,10 +489,10 @@ def test_euler_bounds_sandwich_from_fractions():
 
 def test_enumerate_simple_cycles_counts():
     # full 2-letter de Bruijn graph on 2 vertices: 0, 1, 01->10 = 3 cycles
-    assert len(bt.enumerate_simple_cycles(2, 2)) == 3
+    assert len(enumerate_simple_cycles(2, 2)) == 3
     # k=1 collapses to one vertex with A self-loops
-    assert len(bt.enumerate_simple_cycles(3, 1)) == 3
-    cycles = bt.enumerate_simple_cycles(2, 3)
+    assert len(enumerate_simple_cycles(3, 1)) == 3
+    cycles = enumerate_simple_cycles(2, 3)
     # every returned arc sequence closes on itself through the word graph
     for cyc in cycles:
         V = 4
