@@ -28,7 +28,7 @@ from .entropy import plug_in_estimates
 from .harness import (
     ExperimentConfig,
     _effective_spectral,
-    _theory_u_grid,
+    _theory,
     _write_csv,
     potential_from_config,
     run_ldp,
@@ -40,14 +40,6 @@ from .pressure import (
     equilibrium_blocks,
     pressure,
     spectral_to_json_dict,
-)
-from .rates import (
-    _entropy_rates,
-    entropy_scgf,
-    information_scgf,
-    relative_rate_function,
-    relative_scgf,
-    zero_temperature_entropy,
 )
 from .simulate import read_path_file, sample_paths, write_path_file
 from .typegraphs import CountTable, enumerate_types, type_class_size
@@ -200,29 +192,13 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     phi, sd = _effective_spectral(config)
     os.makedirs(args.out, exist_ok=True)
-
+    scgf_rows, rate_rows, (zero_temp, converged) = _theory(config, phi)
     scgf_file = os.path.join(args.out, "scgf_theory.csv")
     _write_csv(
-        scgf_file,
-        "t,entropy_scgf,information_scgf,relative_scgf",
-        [
-            (t, entropy_scgf(phi, t), information_scgf(phi, t), relative_scgf(phi, t))
-            for t in config.t_grid
-        ],
+        scgf_file, "t,entropy_scgf,information_scgf,relative_scgf", scgf_rows
     )
-
     rate_file = os.path.join(args.out, "rate_theory.csv")
-    levels = [float(u) for u in _theory_u_grid(config, phi.alphabet_size)]
-    _write_csv(
-        rate_file,
-        "u,entropy_rate_theory,relative_rate_theory",
-        [
-            (u, rate, relative_rate_function(phi, u))
-            for u, rate in zip(levels, _entropy_rates(phi, levels))
-        ],
-    )
-
-    zero_temp, converged = zero_temperature_entropy(phi)
+    _write_csv(rate_file, "u,entropy_rate_theory,relative_rate_theory", rate_rows)
     _echo(
         {
             "config": config.to_json_dict(),

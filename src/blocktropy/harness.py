@@ -44,11 +44,13 @@ from .pressure import (
 )
 from .rates import (
     _entropy_rates,
+    _largest_feasible_tilt,
     _poisson_variance,
+    _zero_temperature,
     entropy_scgf,
     information_scgf,
     relative_rate_function,
-    zero_temperature_entropy,
+    relative_scgf,
 )
 from .simulate import RNG_NAME, birkhoff_sum, birkhoff_sums, sample_paths
 from .typegraphs import _chunked_count_matrices, _too_many_strings
@@ -87,9 +89,10 @@ def _is_int(value: object) -> bool:
 
 
 def _is_real(value: object) -> bool:
-    """True for Python and numpy reals (integers included), False for bool,
-    None and str."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for finite Python and numpy reals (integers included), False
+    for nan, infinities, bool, None and str."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,13 @@ class ExperimentConfig:
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             if not _is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         for name, is_entry, kind in _GRID_FIELDS:
             grid = getattr(self, name)
             if not isinstance(grid, Sequence) or not all(map(is_entry, grid)):
                 raise ValueError(f"{name} must list {kind}, got {grid!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if not math.isfinite(self.beta):
-            raise ValueError("beta must be finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         if not self.n_grid:
@@ -184,8 +185,8 @@ _INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
 _REAL_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
 _GRID_FIELDS = (
     ("n_grid", _is_int, "integers"),
-    ("t_grid", _is_real, "real numbers"),
-    ("u_grid", _is_real, "real numbers"),
+    ("t_grid", _is_real, "finite real numbers"),
+    ("u_grid", _is_real, "finite real numbers"),
 )
 
 
@@ -608,25 +609,54 @@ def variance_audit(
     return VarianceAudit(theory=theory, empirical=empirical, z=float(z))
 
 
-def _theory_u_grid(config: ExperimentConfig, alphabet_size: int) -> np.ndarray:
-    """Levels u of the theory rate curves: the config's ``u_grid``, or 21
-    equally spaced points on [0, ln A] when it is empty."""
-    if config.u_grid:
-        return np.asarray(config.u_grid, dtype=float)
-    return np.linspace(0.0, math.log(alphabet_size), 21)
+def _theory(
+    config: ExperimentConfig,
+    phi: MarkovPotential,
+    extra_levels: Sequence[float] | np.ndarray = (),
+) -> tuple[list[tuple], list[tuple], tuple[float, bool]]:
+    """The spectral side of a report, from one tilt probe of ``phi``.
+
+    Returns the rows (t, entropy_scgf, information_scgf, relative_scgf) over
+    the config's ``t_grid``; the rows (u, entropy_rate, relative_rate) over
+    the sorted distinct levels of ``u_grid`` (21 equally spaced points on
+    [0, ln A] when it is empty) and ``extra_levels``; and the
+    zero-temperature entropy with its convergence flag.
+    """
+    grid = config.u_grid or np.linspace(0.0, math.log(phi.alphabet_size), 21)
+    levels = sorted({float(u) for u in (*grid, *extra_levels)})
+    probe = _largest_feasible_tilt(phi)
+    scgf = [
+        (t, entropy_scgf(phi, t), information_scgf(phi, t), relative_scgf(phi, t))
+        for t in config.t_grid
+    ]
+    rates = [
+        (u, rate, relative_rate_function(phi, u))
+        for u, rate in zip(levels, _entropy_rates(phi, levels, probe))
+    ]
+    return scgf, rates, _zero_temperature(phi, probe)
 
 
 def run_ldp(config: ExperimentConfig) -> LdpReport:
     """Run the whole pipeline and assemble the report.
 
-    Stages: the LLN pass over the n-grid, the three-way SCGF table over the
-    t-grid, the rate table (empirical histogram points at the largest n
-    merged with the theory grid), one decomposition audit per n (replica 0's
-    path, bitwise the same as the LLN run), and the variance audit.
+    Stages: the LLN pass over the n-grid, the theory columns and h_inf
+    (``_theory``), the three-way SCGF table over the t-grid, the rate table
+    (empirical histogram points at the largest n merged with the theory
+    grid), one decomposition audit per n (replica 0's path, bitwise the same
+    as the LLN run), and the variance audit.
     """
     phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
     lln_report = _run_lln(config, sd)
+
+    n_max = config.n_grid[-1]
+    cond_values = [
+        row.record.cond_entropy for row in lln_report.samples if row.n == n_max
+    ]
+    centers, emp_rates = empirical_rate(cond_values, n_max, config.bin_width)
+    scgf_theory, rate_theory, (zero_temp, zero_temp_converged) = _theory(
+        config, phi, centers
+    )
 
     scgf_rows: list[ScgfRow] = []
     exact_ok = not _too_many_strings(A, config.exact_n, _EXACT_STRING_CAP)
@@ -637,7 +667,7 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
         if exact_ok
         else [None] * len(config.t_grid)
     )
-    for index, (t, exact) in enumerate(zip(config.t_grid, exact_values)):
+    for index, (t, h_scgf, i_scgf, _) in enumerate(scgf_theory):
         mc = mc_scgf(
             sd,
             config.scgf_n,
@@ -650,42 +680,26 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
         scgf_rows.append(
             ScgfRow(
                 t=t,
-                exact=exact,
+                exact=exact_values[index],
                 mc=mc.estimate,
                 stderr=mc.stderr,
                 high_variance=mc.high_variance,
-                entropy_scgf=entropy_scgf(phi, t),
-                information_scgf=information_scgf(phi, t),
+                entropy_scgf=h_scgf,
+                information_scgf=i_scgf,
             )
         )
 
-    n_max = config.n_grid[-1]
-    cond_values = [
-        row.record.cond_entropy for row in lln_report.samples if row.n == n_max
-    ]
-    centers, emp_rates = empirical_rate(cond_values, n_max, config.bin_width)
-    rate_points: dict[float, Optional[float]] = {
-        float(u): None for u in _theory_u_grid(config, A)
-    }
-    for center, emp in zip(centers, emp_rates):
-        rate_points[float(center)] = float(emp)
-    levels = sorted(rate_points)
+    empirical = dict(zip(centers.tolist(), emp_rates.tolist()))
     rate_rows = [
-        RateRow(
-            u=u,
-            empirical=rate_points[u],
-            entropy_rate=rate,
-            relative_rate=relative_rate_function(phi, u),
-        )
-        for u, rate in zip(levels, _entropy_rates(phi, levels))
+        RateRow(u, empirical.get(u), entropy_rate, relative_rate)
+        for u, entropy_rate, relative_rate in rate_theory
     ]
 
-    audit_rows: list[AuditRow] = []
-    for n in config.n_grid:
-        k = block_schedule(n, A, config.epsilon)
-        seed_n = _stage_seed(config.seed, _STAGE_LLN, n)
-        path = sample_paths(sd, n, seed_n, 1)[0]
-        audit_rows.append(decomposition_audit(path, phi, k, sd))
+    audit_rows = [
+        decomposition_audit(sample_paths(sd, row.n, row.seed, 1)[0], phi, row.k, sd)
+        for row in lln_report.samples
+        if row.replica == 0
+    ]
 
     var_audit = variance_audit(
         phi,
@@ -695,7 +709,6 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
         sd,
     )
 
-    zero_temp, zero_temp_converged = zero_temperature_entropy(phi)
     summary: dict[str, object] = {
         "pressure": sd.pressure,
         "entropy": sd.entropy,

@@ -63,6 +63,12 @@ __all__ = [
 _BETA_MAX = 256.0
 
 
+def _require_number(x: float) -> None:
+    """Refuse a NaN argument: no SCGF or rate function is defined there."""
+    if math.isnan(x):
+        raise ValueError("argument must be a number, got nan")
+
+
 def extreme_mean(phi: MarkovPotential, which: str = "min") -> float:
     """Minimum or maximum mean-weight directed cycle of the word graph.
 
@@ -99,6 +105,7 @@ def entropy_scgf(phi: MarkovPotential, t: float) -> float:
     below, where the estimator cannot deviate any further.
     """
     _require_normalized(phi)
+    _require_number(t)
     if t > -1.0:
         return (t + 1.0) * pressure(phi, 1.0 / (t + 1.0)).pressure
     return extreme_mean(phi, "max")
@@ -107,6 +114,7 @@ def entropy_scgf(phi: MarkovPotential, t: float) -> float:
 def information_scgf(phi: MarkovPotential, t: float) -> float:
     """SCGF P_top((1-t) phi) of the per-symbol information content."""
     _require_normalized(phi)
+    _require_number(t)
     return pressure(phi, 1.0 - t).pressure
 
 
@@ -114,6 +122,7 @@ def relative_scgf(phi: MarkovPotential, t: float) -> float:
     """SCGF dual to the relative-entropy rate function: zero up to t = 1,
     then (1-t) times the minimum cycle mean."""
     _require_normalized(phi)
+    _require_number(t)
     if t <= 1.0:
         return 0.0
     return (1.0 - t) * extreme_mean(phi, "min")
@@ -172,7 +181,14 @@ def zero_temperature_entropy(phi: MarkovPotential) -> tuple[float, bool]:
     and beta_top have closed below 1e-4 (Cauchy check), False when the
     limit has visibly not settled yet.
     """
-    beta_top, sd_top = _largest_feasible_tilt(phi)
+    return _zero_temperature(phi, _largest_feasible_tilt(phi))
+
+
+def _zero_temperature(
+    phi: MarkovPotential, probe: tuple[float, SpectralData]
+) -> tuple[float, bool]:
+    """``zero_temperature_entropy`` from a tilt probe's (beta_top, spectrum)."""
+    beta_top, sd_top = probe
     h = [pressure(phi, beta_top / d).entropy for d in (4.0, 2.0)] + [sd_top.entropy]
     gap = max(abs(h[1] - h[0]), abs(h[2] - h[1]))
     return h[2], gap < 1e-4
@@ -353,12 +369,15 @@ def _replay_bisection(
 
 
 def _entropy_rates(
-    phi: MarkovPotential, levels: np.ndarray | list[float]
+    phi: MarkovPotential,
+    levels: np.ndarray | list[float],
+    probe: tuple[float, SpectralData] | None = None,
 ) -> list[float]:
     """``entropy_rate_function`` at every level u, for one potential.
 
-    The tilt probe and the maximum cycle mean run once, when a level first
-    needs them, and every pressure solve stays a sample for later levels.
+    The tilt probe (unless a caller's ``probe`` is given) and the maximum
+    cycle mean run once, when a level first needs them, and every pressure
+    solve stays a sample for later levels.
     """
     _require_normalized(phi)
     ln_a = math.log(phi.alphabet_size)
@@ -367,12 +386,13 @@ def _entropy_rates(
     beta_cap = h_floor = max_mean = None
     rates = []
     for u in map(float, levels):
+        _require_number(u)
         if u < -slack or u > ln_a + slack:
             rates.append(math.inf)
             continue
         u = min(max(u, 0.0), ln_a)
         if beta_cap is None:
-            beta_cap, sd_cap = _largest_feasible_tilt(phi)
+            beta_cap, sd_cap = probe or _largest_feasible_tilt(phi)
             h_floor = sd_cap.entropy
             samples[beta_cap] = (h_floor, None)
         if u < h_floor:
@@ -411,6 +431,7 @@ def relative_rate_function(phi: MarkovPotential, u: float) -> float:
     """Rate function of the relative-entropy estimator: the identity on
     [0, -minmean(phi)], +inf outside."""
     _require_normalized(phi)
+    _require_number(u)
     endpoint = -extreme_mean(phi, "min")
     slack = 1e-12
     if u < -slack or u > endpoint + slack:

@@ -8,9 +8,11 @@ import math
 
 import pytest
 
+import blocktropy as bt
+from blocktropy import rates
 from blocktropy.cli import main
 
-from conftest import CHAIN_CONFIG
+from conftest import CHAIN_CONFIG, CHAIN_ENTROPY
 
 
 @pytest.fixture()
@@ -82,6 +84,9 @@ def test_exit_code_malformed_json(tmp_path, capsys):
         {"bin_width": True},
         {"t_grid": ["a"]},
         {"u_grid": [0.1, None]},
+        {"u_grid": [math.nan, 0.3]},
+        {"t_grid": [math.nan]},
+        {"t_grid": [math.inf]},
     ],
 )
 def test_exit_code_malformed_config(tmp_path, capsys, entries):
@@ -176,6 +181,62 @@ def test_rate_outputs(config_file, tmp_path, capsys):
     rate_lines = (out_dir / "rate_theory.csv").read_text().splitlines()
     assert rate_lines[0] == "u,entropy_rate_theory,relative_rate_theory"
     assert len(rate_lines) == 22  # default 21-point grid
+
+
+def test_beta_override_folds_into_the_potential(config_file, tmp_path, capsys):
+    out_dir = str(tmp_path / "rate")
+    assert main(["rate", "--config", config_file, "--out", out_dir, "--beta", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    phi = bt.potential_from_config(CHAIN_CONFIG)
+    assert payload["entropy"] == pytest.approx(bt.pressure(phi, 2.0).entropy, abs=1e-12)
+    assert payload["entropy"] != pytest.approx(CHAIN_ENTROPY, abs=1e-3)
+    out_dir = str(tmp_path / "ldp")
+    assert main(["ldp", "--config", config_file, "--out", out_dir, "--beta", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_rate_and_ldp_tabulate_the_same_theory(config_file, tmp_path, capsys):
+    with open(config_file, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["u_grid"] = [0.5, 0.1, 0.1, -0.2, 0.9]  # unsorted, a duplicate, u < 0
+    levels_file = tmp_path / "levels.json"
+    levels_file.write_text(json.dumps(config))
+    rate_dir, ldp_dir = tmp_path / "rate", tmp_path / "ldp"
+    assert main(["rate", "--config", str(levels_file), "--out", str(rate_dir)]) == 0
+    assert main(["ldp", "--config", str(levels_file), "--out", str(ldp_dir)]) == 0
+    capsys.readouterr()
+
+    def rows(path):
+        lines = path.read_text().splitlines()
+        return [line.split(",") for line in lines[1:]]
+
+    theory = rows(rate_dir / "rate_theory.csv")
+    assert [float(row[0]) for row in theory] == [-0.2, 0.1, 0.5, 0.9]
+    assert theory[0][1:] == ["inf", "inf"]
+    merged = {row[0]: [row[0], *row[2:]] for row in rows(ldp_dir / "rate.csv")}
+    for row in theory:
+        assert merged[row[0]] == row
+    scgf_theory = rows(rate_dir / "scgf_theory.csv")
+    scgf = rows(ldp_dir / "scgf.csv")
+    assert [row[:3] for row in scgf_theory] == [[row[0], *row[4:]] for row in scgf]
+
+
+def test_example_runs_probe_the_tilt_once(tmp_path, monkeypatch, capsys):
+    betas = []
+    solve = rates.pressure
+
+    def counted(phi, beta):
+        betas.append(beta)
+        return solve(phi, beta)
+
+    monkeypatch.setattr(rates, "pressure", counted)
+    for command in ("ldp", "rate"):
+        betas.clear()
+        out_dir = str(tmp_path / command)
+        argv = [command, "--config", "configs/ldp_example.json", "--out", out_dir]
+        assert main(argv) == 0
+        assert betas.count(256.0) == 1, command
+    capsys.readouterr()
 
 
 #: sha256 of the theory tables ``blocktropy rate`` writes for the example

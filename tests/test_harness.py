@@ -86,6 +86,11 @@ def test_config_round_trip_and_unknown_keys():
         {"bin_width": True},
         {"t_grid": ("a",)},
         {"u_grid": (0.1, None)},
+        {"t_grid": (math.nan,)},
+        {"t_grid": (0.5, math.inf)},
+        {"u_grid": (math.nan, 0.3)},
+        {"u_grid": (-math.inf,)},
+        {"bin_width": math.inf},
     ],
 )
 def test_config_validation(override):
@@ -206,6 +211,12 @@ def test_mc_scgf_basics(chain_spectral):
     )
     out2 = mc_scgf(chain_spectral, 12, 2, 0.3, "conditional", 4000, seed=4)
     assert out2.estimate == pytest.approx(exact, abs=6 * max(out2.stderr, 1e-4))
+    # relative functionals score paths against the equilibrium k-blocks
+    flat = mc_scgf(chain_spectral, 64, 2, 0.0, "relative_conditional", 16, seed=3)
+    assert flat.estimate == 0.0
+    tilted = mc_scgf(chain_spectral, 64, 2, 1.0, "relative_conditional", 16, seed=3)
+    assert math.isfinite(tilted.estimate) and math.isfinite(tilted.stderr)
+    assert tilted.estimate >= 0.0  # E[exp(n D)] >= 1 for a divergence D >= 0
 
 
 def test_empirical_rate_hand_histogram():

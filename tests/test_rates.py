@@ -150,6 +150,21 @@ def test_relative_rate_function_chain(chain_potential):
     assert bt.relative_rate_function(chain_potential, endpoint + 0.05) == math.inf
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [
+        bt.entropy_rate_function,
+        bt.relative_rate_function,
+        bt.entropy_scgf,
+        bt.information_scgf,
+        bt.relative_scgf,
+    ],
+)
+def test_curves_reject_nan(chain_potential, curve):
+    with pytest.raises(ValueError, match="nan"):
+        curve(chain_potential, math.nan)
+
+
 def test_rate_curve_and_legendre(chain_potential):
     grid = np.linspace(0.0, math.log(2.0), 40)
     curve = bt.rate_curve(chain_potential, "entropy_rate", grid)

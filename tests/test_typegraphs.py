@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
+from blocktropy.typegraphs import _bareiss_determinant
 from conftest import enumerate_simple_cycles
 
 
@@ -133,6 +134,37 @@ def test_type_class_size_worked_examples():
     b1 = bt.type_class_size(binom, mode="bounds")
     assert b1.euler_lower == pytest.approx(1.5)
     assert b1.euler_upper == pytest.approx(24.0)
+
+
+def _fraction_determinant(matrix):
+    """Determinant by Gaussian elimination over exact rationals."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for i in range(len(rows)):
+        pivot = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for row in rows[i + 1 :]:
+            factor = row[i] / rows[i][i]
+            for c in range(i, len(rows)):
+                row[c] -= factor * rows[i][c]
+    return det
+
+
+def test_bareiss_determinant_swaps_past_zero_pivots():
+    assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        size = int(rng.integers(1, 7))
+        matrix = rng.integers(-3, 4, size=(size, size))
+        matrix[rng.random((size, size)) < 1 / 3] = 0
+        matrix[0, 0] = 0  # the first pivot needs a row swap
+        expected = _fraction_determinant(matrix.tolist())
+        assert _bareiss_determinant(matrix.tolist()) == expected, matrix
 
 
 def test_type_class_size_exact_past_census_reach():
