@@ -7,7 +7,10 @@ theoretical cumulant and rate curves, ``types-audit`` cross-checks exact
 type-class sizes against their combinatorial bounds, and ``ldp`` runs the
 full experiment harness into a report directory.
 
-Every run echoes the resolved configuration and seed as JSON on stdout.
+Each subcommand accepts only the flags it reads and prints one JSON object
+on stdout: runs that read a ``--config`` echo the resolved configuration
+and seed with their results, and ``types-audit`` echoes its n, k and
+alphabet size.
 Exit codes: 0 on success, 1 for validation problems (bad config, bad
 flags), 2 for numeric failures (non-convergence, reducible transfer
 matrix).
@@ -16,6 +19,7 @@ matrix).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,7 +46,7 @@ from .pressure import (
     spectral_to_json_dict,
 )
 from .simulate import read_path_file, sample_paths, write_path_file
-from .typegraphs import CountTable, enumerate_types, type_class_size
+from .typegraphs import CountTable, _too_many_strings, enumerate_types, type_class_size
 
 __all__ = ["build_parser", "main"]
 
@@ -54,50 +58,6 @@ class _CliError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _CliError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="blocktropy", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--beta", type=float, default=None, help="override beta")
-        p.add_argument(
-            "--epsilon", type=float, default=None, help="override epsilon"
-        )
-
-    p_sim = sub.add_parser("simulate", help="sample one path to a binary file")
-    add_common(p_sim)
-    p_sim.add_argument("--n", type=int, default=None, help="path length")
-
-    p_est = sub.add_parser("estimate", help="plug-in estimates for one path")
-    add_common(p_est)
-    p_est.add_argument("--n", type=int, default=None, help="path length")
-    p_est.add_argument("--k", type=int, default=None, help="block order")
-    p_est.add_argument(
-        "--path", default=None, help="estimate a stored path file instead of sampling"
-    )
-
-    p_pre = sub.add_parser("pressure", help="spectral data for the potential")
-    add_common(p_pre)
-
-    p_rate = sub.add_parser("rate", help="tabulate theory cumulant/rate curves")
-    add_common(p_rate)
-
-    p_types = sub.add_parser(
-        "types-audit", help="exact type-class sizes vs combinatorial bounds"
-    )
-    p_types.add_argument("--out", default=".", help="output directory")
-    p_types.add_argument("--n", type=int, default=8, help="string length")
-    p_types.add_argument("--k", type=int, default=2, help="block order")
-    p_types.add_argument("--alphabet", type=int, default=2, help="alphabet size")
-
-    p_ldp = sub.add_parser("ldp", help="run the full experiment harness")
-    add_common(p_ldp)
-    return parser
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -117,79 +77,50 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(data)
 
 
-def _echo(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=float)
-    sys.stdout.write("\n")
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    phi, sd = _effective_spectral(config)
+def _sample_one(args: argparse.Namespace, config: ExperimentConfig, sd) -> np.ndarray:
+    """One path at the config's seed, of length ``--n`` or the largest n_grid."""
     n = args.n if args.n is not None else config.n_grid[-1]
-    path = sample_paths(sd, n, config.seed, 1)[0]
+    return sample_paths(sd, n, config.seed, 1)[0]
+
+
+def _cmd_simulate(args: argparse.Namespace, config: ExperimentConfig) -> dict:
+    phi, sd = _effective_spectral(config)
+    path = _sample_one(args, config, sd)
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "path.bin")
     write_path_file(out_file, path, phi.alphabet_size, config.seed)
-    _echo(
-        {
-            "config": config.to_json_dict(),
-            "seed": config.seed,
-            "n": n,
-            "path_file": out_file,
-            "first_symbols": [int(s) for s in path[: min(16, n)]],
-        }
-    )
-    return 0
+    first = [int(s) for s in path[:16]]
+    return {"n": path.size, "path_file": out_file, "first_symbols": first}
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_estimate(args: argparse.Namespace, config: ExperimentConfig) -> dict:
     phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
     if args.path is not None:
         try:
-            x, file_alphabet, file_seed = read_path_file(args.path)
+            x, file_alphabet, seed = read_path_file(args.path)
         except OSError as exc:
             raise _CliError(f"cannot read path file: {exc}") from exc
         if file_alphabet != A:
             raise _CliError("path file alphabet does not match the potential")
-        seed = file_seed
     else:
-        n = args.n if args.n is not None else config.n_grid[-1]
-        x = sample_paths(sd, n, config.seed, 1)[0]
-        seed = config.seed
+        x, seed = _sample_one(args, config, sd), config.seed
     n = int(x.size)
     k = args.k if args.k is not None else block_schedule(n, A, config.epsilon)
+    if not 1 <= k <= n:
+        raise _CliError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if _too_many_strings(A, k, 1 << 24):
+        raise _CliError("block order limited to A**k <= 2**24 words")
     record = plug_in_estimates(x, k, A, equilibrium_blocks(sd, k))
-    _echo(
-        {
-            "config": config.to_json_dict(),
-            "seed": seed,
-            "n": n,
-            "k": k,
-            "block_entropy": record.block_entropy,
-            "cond_entropy": record.cond_entropy,
-            "rel_entropy": record.rel_entropy,
-            "rel_cond_entropy": record.rel_cond_entropy,
-            "reference_entropy": sd.entropy,
-        }
-    )
-    return 0
+    return {"seed": seed, **dataclasses.asdict(record), "reference_entropy": sd.entropy}
 
 
-def _cmd_pressure(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_pressure(args: argparse.Namespace, config: ExperimentConfig) -> dict:
     phi = potential_from_config(config.potential)
-    sd = pressure(phi, config.beta)
-    payload = spectral_to_json_dict(sd)
-    payload["config"] = config.to_json_dict()
-    payload["seed"] = config.seed
-    _echo(payload)
-    return 0
+    return spectral_to_json_dict(pressure(phi, config.beta))
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_rate(args: argparse.Namespace, config: ExperimentConfig) -> dict:
     phi, sd = _effective_spectral(config)
     os.makedirs(args.out, exist_ok=True)
     scgf_rows, rate_rows, (zero_temp, converged) = _theory(config, phi)
@@ -199,22 +130,19 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     )
     rate_file = os.path.join(args.out, "rate_theory.csv")
     _write_csv(rate_file, "u,entropy_rate_theory,relative_rate_theory", rate_rows)
-    _echo(
-        {
-            "config": config.to_json_dict(),
-            "seed": config.seed,
-            "entropy": sd.entropy,
-            "zero_temperature_entropy": zero_temp,
-            "zero_temperature_converged": converged,
-            "scgf_file": scgf_file,
-            "rate_file": rate_file,
-        }
-    )
-    return 0
+    return {
+        "entropy": sd.entropy,
+        "zero_temperature_entropy": zero_temp,
+        "zero_temperature_converged": converged,
+        "scgf_file": scgf_file,
+        "rate_file": rate_file,
+    }
 
 
-def _cmd_types_audit(args: argparse.Namespace) -> int:
-    n, k, A = args.n, args.k, args.alphabet
+def _cmd_types_audit(args: argparse.Namespace, config: None) -> dict:
+    n = 8 if args.n is None else args.n
+    k = 2 if args.k is None else args.k
+    A = args.alphabet
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "types_audit.csv")
     types = enumerate_types(n, k, A)
@@ -233,54 +161,85 @@ def _cmd_types_audit(args: argparse.Namespace) -> int:
         "n,k,type_id,exact_size,euler_lo,euler_hi,entropy_lo,entropy_hi",
         rows,
     )
-    _echo(
-        {
-            "n": n,
-            "k": k,
-            "alphabet_size": A,
-            "type_count": len(types),
-            "audit_file": out_file,
-        }
-    )
-    return 0
+    return {
+        "n": n,
+        "k": k,
+        "alphabet_size": A,
+        "type_count": len(types),
+        "audit_file": out_file,
+    }
 
 
-def _cmd_ldp(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_ldp(args: argparse.Namespace, config: ExperimentConfig) -> dict:
     report = run_ldp(config)
-    paths = write_report(report, args.out)
-    _echo(
-        {
-            "config": config.to_json_dict(),
-            "seed": config.seed,
-            "outputs": paths,
-            "summary": report.summary,
-        }
-    )
-    return 0
+    return {"outputs": write_report(report, args.out), "summary": report.summary}
 
 
+#: Every flag a subcommand may read, as ``add_argument`` keywords.
+_FLAGS = {
+    "config": dict(required=True, help="experiment JSON file"),
+    "out": dict(default=".", help="output directory"),
+    "seed": dict(type=int, help="override seed"),
+    "beta": dict(type=float, help="override beta"),
+    "epsilon": dict(type=float, help="override epsilon"),
+    "n": dict(type=int, help="path or string length (types-audit default 8)"),
+    "k": dict(type=int, help="block order (types-audit default 2)"),
+    "path": dict(help="estimate a stored path file instead of sampling"),
+    "alphabet": dict(type=int, default=2, help="alphabet size"),
+}
+
+#: name -> (command, help line, the flags it reads).
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "pressure": _cmd_pressure,
-    "rate": _cmd_rate,
-    "types-audit": _cmd_types_audit,
-    "ldp": _cmd_ldp,
+    "simulate": (
+        _cmd_simulate, "sample one path to a binary file", "config out seed beta n"
+    ),
+    "estimate": (
+        _cmd_estimate,
+        "plug-in estimates for one path",
+        "config seed beta epsilon n k path",
+    ),
+    "pressure": (_cmd_pressure, "spectral data for the potential", "config beta"),
+    "rate": (_cmd_rate, "tabulate theory cumulant/rate curves", "config out beta"),
+    "types-audit": (
+        _cmd_types_audit,
+        "exact type-class sizes vs combinatorial bounds",
+        "out n k alphabet",
+    ),
+    "ldp": (
+        _cmd_ldp, "run the full experiment harness", "config out seed beta epsilon"
+    ),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="blocktropy", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        command, _, flags = _COMMANDS[args.command]
+        if "config" in flags.split():
+            config = _load_config(args)
+            echo = {"config": config.to_json_dict(), "seed": config.seed}
+            payload = {**echo, **command(args, config)}
+        else:
+            payload = command(args, None)
     except (ConvergenceError, ReducibilityError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=float)
+    sys.stdout.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

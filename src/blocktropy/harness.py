@@ -90,9 +90,13 @@ def _is_int(value: object) -> bool:
 
 def _is_real(value: object) -> bool:
     """True for finite Python and numpy reals (integers included), False
-    for nan, infinities, bool, None and str."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value)
+    for nan, infinities, integers past float range, bool, None and str."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

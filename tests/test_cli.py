@@ -47,8 +47,28 @@ def test_pressure_echo(config_file, capsys):
 
 
 def test_exit_code_bad_flag_value(config_file, capsys):
-    assert main(["pressure", "--config", config_file, "--epsilon", "1.5"]) == 1
+    assert main(["estimate", "--config", config_file, "--epsilon", "1.5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--epsilon", "0.3"),
+        ("estimate", "--out", "."),
+        ("pressure", "--out", "."),
+        ("pressure", "--seed", "3"),
+        ("pressure", "--epsilon", "0.3"),
+        ("rate", "--seed", "3"),
+        ("rate", "--epsilon", "0.3"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(
+    config_file, capsys, command, flag, value
+):
+    assert main([command, "--config", config_file, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments")
 
 
 def test_exit_code_unknown_config_key(tmp_path, capsys):
@@ -70,6 +90,13 @@ def test_exit_code_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_exit_code_config_not_an_object(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([{"potential": CHAIN_CONFIG}]))
+    assert main(["pressure", "--config", str(listed)]) == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
 @pytest.mark.parametrize(
     "entries",
     [
@@ -87,13 +114,17 @@ def test_exit_code_malformed_json(tmp_path, capsys):
         {"u_grid": [math.nan, 0.3]},
         {"t_grid": [math.nan]},
         {"t_grid": [math.inf]},
+        {"t_grid": [10**400]},  # a JSON integer past float range
+        {"beta": 10**400},
     ],
 )
 def test_exit_code_malformed_config(tmp_path, capsys, entries):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"potential": CHAIN_CONFIG, **entries}))
-    assert main(["ldp", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    out = str(tmp_path / "out")
+    for argv in (["ldp", "--out", out], ["rate", "--out", out], ["pressure"]):
+        assert main([*argv, "--config", str(bad)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_exit_code_numeric_failure(config_file, capsys):
@@ -128,6 +159,23 @@ def test_simulate_estimate_round_trip(config_file, tmp_path, capsys):
     est2 = json.loads(capsys.readouterr().out)
     assert est2["n"] == 300
     assert est2["k"] == 6  # schedule at n=300, eps=0.2
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        ("100", "0", "need 1 <= k <= n"),
+        ("100", "-1", "need 1 <= k <= n"),
+        ("100", "200", "need 1 <= k <= n"),
+        ("100", "40", "A**k <= 2**24"),
+        ("100", "25", "A**k <= 2**24"),
+    ],
+)
+def test_estimate_block_order_is_checked_first(config_file, capsys, n, k, message):
+    # k is refused before any k-block array exists: 2**40 words would not fit
+    assert main(["estimate", "--config", config_file, "--n", n, "--k", k]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_simulate_path_shorter_than_memory(config_file, tmp_path, capsys):

@@ -91,6 +91,8 @@ def test_config_round_trip_and_unknown_keys():
         {"u_grid": (math.nan, 0.3)},
         {"u_grid": (-math.inf,)},
         {"bin_width": math.inf},
+        {"t_grid": (10**400,)},  # an integer past float range
+        {"beta": 10**400},
     ],
 )
 def test_config_validation(override):
@@ -200,6 +202,20 @@ def test_exact_finite_scgf_guards(chain_potential):
         bt.exact_finite_scgf(raw, 6, 2, 0.5)
 
 
+def test_exact_finite_scgf_relative_needs_full_support():
+    # normalized, but the block 01 has weight exp(-800) == 0 at equilibrium
+    phi = bt.potential_from_config(
+        {
+            "type": "values",
+            "alphabet_size": 2,
+            "k": 2,
+            "values": [0.0, -800.0, math.log(0.5), math.log(0.5)],
+        }
+    )
+    with pytest.raises(ValueError, match="full-support"):
+        bt.exact_finite_scgf(phi, 6, 2, 0.5, "relative_conditional")
+
+
 def test_mc_scgf_basics(chain_spectral):
     out = mc_scgf(chain_spectral, 64, 2, 0.0, "conditional", 16, seed=3)
     assert out.estimate == pytest.approx(0.0, abs=1e-12)
@@ -243,6 +259,8 @@ def test_decomposition_audit(chain_potential, chain_spectral):
     assert row.bound == pytest.approx(10 * 3 / 4096, abs=1e-15)
     with pytest.raises(ValueError):
         bt.decomposition_audit(x, chain_potential, 1, chain_spectral)  # k < depth
+    # without a spectrum the audit solves its own, to the same row
+    assert bt.decomposition_audit(x, chain_potential, 3) == row
 
 
 def test_variance_audit(chain_potential, chain_spectral):
@@ -251,6 +269,13 @@ def test_variance_audit(chain_potential, chain_spectral):
     assert math.isfinite(out.z)
     assert abs(out.z) < 5.0
     assert out.empirical == pytest.approx(out.theory, rel=0.5)
+
+
+def test_variance_audit_constant_potential():
+    # every path has the same Birkhoff sum, so both variances and z are zero
+    phi = bt.potential_from_config({"type": "bernoulli", "p": [0.5, 0.5]})
+    out = bt.variance_audit(phi, 64, 8, seed=1)
+    assert (out.theory, out.empirical, out.z) == (0.0, 0.0, 0.0)
 
 
 def test_variance_audit_memory_is_bounded(chain_potential, chain_spectral):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,28 @@ def test_pressure_strong_tilt_primitive(tilt_reproducer):
         r = sd.right_vector
         lam = math.exp(sd.pressure - psi.max())
         assert np.max(np.abs(M @ r - lam * r)) <= 1e-12 * lam * r.max(), beta
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_perron accepts an iterate whose tiny entries still move: both of "
+    "its convergence tests are absolute",
+)
+def test_pressure_strong_tilt_variational_bounds():
+    # beta * m <= P(beta) <= beta * m + ln A, with m the largest mean of the
+    # potential around a cycle of the de Bruijn graph (here A = 3, k = 2)
+    raw = [0.40109339, 2.11979523, -0.06680475, 1.13574549, 1.60440994,
+           3.17882699, -0.3825874, -1.31709706, -3.11885237]
+    phi = bt.normalize_potential(bt.MarkovPotential(3, 2, raw))[0]
+    w = phi.values.reshape(3, 3)
+    m = max(
+        np.mean([w[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])])
+        for size in (1, 2, 3)
+        for cycle in itertools.permutations(range(3), size)
+    )
+    for beta in (100.0, 170.0):
+        p = bt.pressure(phi, beta).pressure
+        assert beta * m - 1e-9 <= p <= beta * m + math.log(3) + 1e-9, beta
 
 
 def test_potential_from_marginals_recovers_chain(chain_potential, chain_spectral):
