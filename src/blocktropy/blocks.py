@@ -196,22 +196,15 @@ def empirical_block_measure(
     )
 
 
-def marginalize(nu: BlockDistribution, side: str) -> BlockDistribution:
-    """Sum out one symbol of a k-block distribution (k >= 2).
-
-    ``side="right"`` removes the last symbol, leaving the distribution of
-    the first k-1; ``side="left"`` removes the first symbol.  For a
-    stationary input the two agree, and the output is stationary again.
+def marginalize(nu: BlockDistribution) -> BlockDistribution:
+    """Sum out the last symbol of a k-block distribution (k >= 2), leaving
+    the distribution of the first k-1 symbols; a stationary input gives a
+    stationary output.
     """
     if nu.k < 2:
         raise ValueError("cannot marginalize a 1-block distribution")
     A = nu.alphabet_size
-    if side == "right":
-        w = nu.weights.reshape(A ** (nu.k - 1), A).sum(axis=1)
-    elif side == "left":
-        w = nu.weights.reshape(A, A ** (nu.k - 1)).sum(axis=0)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    w = nu.weights.reshape(A ** (nu.k - 1), A).sum(axis=1)
     return BlockDistribution(A, nu.k - 1, w, stationary=nu.stationary)
 
 

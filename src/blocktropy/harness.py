@@ -52,7 +52,7 @@ from .rates import (
     relative_rate_function,
     relative_scgf,
 )
-from .simulate import RNG_NAME, birkhoff_sum, birkhoff_sums, sample_paths
+from .simulate import RNG_NAME, birkhoff_sums, sample_paths
 from .typegraphs import _chunked_count_matrices, _too_many_strings
 
 __all__ = [
@@ -450,6 +450,8 @@ def _exact_finite_scgf_grid(
     """
     _require_normalized(phi)
     A = phi.alphabet_size
+    if not all(map(_is_real, t_grid)):
+        raise ValueError("t must be a finite real number")
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if _too_many_strings(A, n, _EXACT_STRING_CAP):
@@ -502,6 +504,10 @@ def mc_scgf(
     flag (flagged when a few paths dominate the average, the usual failure
     mode of naive tilted-mean estimation at large t).
     """
+    if not _is_real(t):
+        raise ValueError("t must be a finite real number")
+    if replicas < 2:
+        raise ValueError("mc_scgf needs at least 2 replicas")
     A = sd.potential.alphabet_size
     rho_k = None
     if functional.startswith("relative"):
@@ -538,6 +544,8 @@ def empirical_rate(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one value")
+    if n < 1:
+        raise ValueError("path length n must be positive")
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     idx = np.floor(values / bin_width).astype(np.int64)
@@ -578,7 +586,7 @@ def decomposition_audit(
     if record.rel_cond_entropy < -1e-9:
         raise RuntimeError("relative conditional entropy came out negative")
     lhs = record.cond_entropy - sd.entropy
-    birkhoff = -(birkhoff_sum(x, phi) - (n - d + 1) * sd.potential_mean) / n
+    birkhoff = -(float(birkhoff_sums(x, phi)) - (n - d + 1) * sd.potential_mean) / n
     delta = -record.rel_cond_entropy
     residual = lhs - birkhoff - delta
     return AuditRow(n, k, lhs, birkhoff, delta, residual, bound=10.0 * k / n)
@@ -598,6 +606,8 @@ def variance_audit(
     sampling error of a variance over that many replicas.
     """
     _require_normalized(phi)
+    if replicas < 2:
+        raise ValueError("variance_audit needs at least 2 replicas")
     if sd is None:
         sd = pressure(phi, 1.0)
     theory = _poisson_variance(sd)

@@ -109,9 +109,6 @@ class MarkovPotential:
         rows = np.exp(self.values).reshape(A ** (self.k - 1), A).sum(axis=1)
         return float(np.max(np.abs(rows - 1.0)))
 
-    def is_constant(self, tol: float = 1e-12) -> bool:
-        return float(self.values.max() - self.values.min()) <= tol
-
 
 def _require_normalized(phi: MarkovPotential) -> None:
     if not phi.normalized:
@@ -352,7 +349,7 @@ def potential_from_marginals(
         raise ValueError("zero-mass word: potential requires full support")
     if k == 1:
         return MarkovPotential(A, 1, np.log(rho_k.weights), normalized=True)
-    derived = marginalize(rho_k, "right")
+    derived = marginalize(rho_k)
     if rho_km1 is not None:
         if (rho_km1.alphabet_size, rho_km1.k) != (A, k - 1):
             raise ValueError("rho_{k-1} lives on the wrong block space")
@@ -392,12 +389,12 @@ def markov_blocks(nu: BlockDistribution, k: int) -> BlockDistribution:
     A, j = nu.alphabet_size, nu.k
     out = nu
     while out.k > k:
-        out = marginalize(out, "right")
+        out = marginalize(out)
     if out.k == k:
         return out
     S = A ** (j - 1)
     denom = np.repeat(
-        marginalize(nu, "right").weights if j >= 2 else np.ones(1), A
+        marginalize(nu).weights if j >= 2 else np.ones(1), A
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = np.where(denom > 0, nu.weights / denom, 0.0).reshape(S, A)

@@ -136,12 +136,11 @@ def renyi_scgf(sd: SpectralData, t: float, n: int | None = None) -> float:
     ``n=None`` returns the n -> infinity limit (t+1) ln lambda(B).  Agrees
     with entropy_scgf in the limit, with an O(1/n) finite-n gap.
     """
-    if t <= -1.0:
-        raise ValueError("the Renyi route needs t > -1")
+    if not -1.0 < t < math.inf:
+        raise ValueError(f"the Renyi route needs a finite t > -1, got {t}")
     s = 1.0 / (t + 1.0)
     A, k = sd.potential.alphabet_size, sd.potential.k
-    powered = np.where(sd.kernel > 0, np.where(sd.kernel > 0, sd.kernel, 1.0) ** s, 0.0)
-    B = _arc_matrix(powered.ravel(), A)
+    B = _arc_matrix((sd.kernel**s).ravel(), A)
     if n is None:
         lam, _ = _perron(B)
         return (t + 1.0) * math.log(lam)
@@ -157,18 +156,10 @@ def renyi_scgf(sd: SpectralData, t: float, n: int | None = None) -> float:
 def entropy_curve(
     phi: MarkovPotential,
     beta_grid: np.ndarray | list[float],
-    require_strict: bool = False,
 ) -> list[tuple[float, float]]:
-    """Equilibrium entropy h(beta) along a grid of inverse temperatures.
-
-    Strictly decreasing in beta unless the potential is constant; pass
-    ``require_strict=True`` to reject that degenerate case up front.
-    """
+    """Equilibrium entropy h(beta) along a grid of inverse temperatures,
+    strictly decreasing in beta unless the potential is constant."""
     _require_normalized(phi)
-    if require_strict and phi.is_constant():
-        raise ValueError(
-            "degenerate case: a constant potential has a flat entropy curve"
-        )
     return [(float(b), pressure(phi, float(b)).entropy) for b in beta_grid]
 
 

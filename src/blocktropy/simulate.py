@@ -1,11 +1,11 @@
 """Seeded sampling from equilibrium Markov chains on word states.
 
 Paths are drawn from the row-stochastic kernel carried by SpectralData: the
-initial (k-1)-word comes from the stationary state law (or is fixed), then
-one appended symbol per step by inverse-CDF lookup.  Replica r of a batch
-uses an independent generator seeded ``seed XOR r`` (numpy PCG64) and
-consumes it in a fixed order -- one draw for a stationary start, then one
-uniform per step -- so batched and one-at-a-time runs are bitwise identical.
+initial (k-1)-word comes from the stationary state law, then one appended
+symbol per step by inverse-CDF lookup.  Replica r of a batch uses an
+independent generator seeded ``seed XOR r`` (numpy PCG64) and consumes it
+in a fixed order -- one draw for the start, then one uniform per step -- so
+batched and one-at-a-time runs are bitwise identical.
 
 Each step's uniform fixes a map from the V = A**(k-1) word states to
 themselves, so a path is a prefix composition of such maps.  The sampler
@@ -21,21 +21,16 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .blocks import window_codes, word_to_index
+from .blocks import window_codes
 from .pressure import MarkovPotential, SpectralData
 
 __all__ = [
     "RNG_NAME",
-    "SamplerSpec",
-    "birkhoff_sum",
     "birkhoff_sums",
     "read_path_file",
-    "sample_path",
     "sample_paths",
     "write_path_file",
 ]
@@ -48,44 +43,22 @@ _PATH_MAGIC = b"BKTP"
 _TABLE_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
-    """Everything needed to draw one path reproducibly."""
-
-    spectral: SpectralData
-    n: int
-    seed: int
-    init: Union[str, tuple[int, ...]] = "stationary"
-
-    def __post_init__(self) -> None:
-        k = self.spectral.potential.k
-        if self.n < k - 1:
-            raise ValueError("path length must be at least k-1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
-        row_defect = float(np.max(np.abs(self.spectral.kernel.sum(axis=1) - 1.0)))
-        if row_defect > 1e-12:
-            raise ValueError(f"kernel rows sum to 1 only within {row_defect:.3e}")
-        if self.init != "stationary":
-            if len(self.init) != k - 1:
-                raise ValueError("fixed initial word must have length k-1")
-
-
 def sample_paths(
     sd: SpectralData,
     n: int,
     seed: int,
     replicas: int = 1,
-    init: Union[str, tuple[int, ...]] = "stationary",
     replica_offset: int = 0,
 ) -> np.ndarray:
     """Sample ``replicas`` equilibrium paths of length n as an (R, n) array.
 
     Replica r (globally indexed ``replica_offset + r``) is driven by
     ``numpy.random.default_rng(seed ^ (replica_offset + r))``; it draws one
-    ``random()`` for a stationary start, then one uniform per step, in
-    order.  The offset lets callers process a large replica range in
-    memory-bounded groups without changing any path.
+    ``random()`` for its start word from the stationary state law, then one
+    uniform per step, in order.  The offset lets callers process a large
+    replica range in memory-bounded groups without changing any path.
+    Raises ValueError when n < k-1, when the seed does not fit in 64 bits,
+    or when a kernel row sums to 1 only beyond 1e-12.
 
     Algorithm: the steps run in chunks of G replicas by T steps, with
     G*T*V <= ``_TABLE_CELLS`` (2**16) for V = A**(k-1) word states.  T is
@@ -95,10 +68,11 @@ def sample_paths(
     chunk.  For a chunk:
 
     1. Table.  ``sym[t, r, s]``, the symbol step t of replica r emits from
-       state s, comes from the comparisons ``u >= cum_kernel[s, j]`` summed
-       over j and clamped to A-1, with the last CDF column pinned to 1.0;
-       one vectorized comparison per alphabet symbol j covers all states.
-       State s then moves to ``(s*A + sym) % V``.
+       state s, is the number of CDF columns of kernel row s below the
+       last one (which is 1 up to rounding) that u reaches, so the last
+       symbol takes whatever mass the rounding of the partial sums leaves;
+       one vectorized comparison per column covers all states.  State s
+       then moves to ``(s*A + sym) % V``.
     2. Walk.  The chunk is cut into blocks of L = ceil(sqrt(T)) steps.  All
        V start states of every block advance together for L steps (one
        gather per step, O(G*T*V) work in all); the true block start states
@@ -112,16 +86,21 @@ def sample_paths(
     by one to two orders of magnitude on single paths and short memories;
     for V >= 16 a step-by-step walk is faster once V*R exceeds about 1000.
     """
-    SamplerSpec(sd, n, seed, init)  # validate once
     A = sd.potential.alphabet_size
     k = sd.potential.k
+    if n < k - 1:
+        raise ValueError("path length must be at least k-1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
+    row_defect = float(np.max(np.abs(sd.kernel.sum(axis=1) - 1.0)))
+    if row_defect > 1e-12:
+        raise ValueError(f"kernel rows sum to 1 only within {row_defect:.3e}")
     V = A ** (k - 1)
     R = replicas
     dtype = np.int8 if A <= 127 else np.int64
     out = np.zeros((R, n), dtype=dtype)
     cum_q = np.cumsum(sd.vertex_stationary)
-    cum_kernel = np.cumsum(sd.kernel, axis=1)
-    cum_kernel[:, -1] = 1.0  # guard the inverse CDF against rounding
+    cdf = np.cumsum(sd.kernel[:, :-1], axis=1)
     place = A ** np.arange(k - 2, -1, -1, dtype=np.int64)
     group, t_chunk = _chunk_shape(V, R, n - (k - 1))
     for lo in range(0, R, group):
@@ -131,18 +110,15 @@ def sample_paths(
             for r in range(lo, hi)
         ]
         if k >= 2:
-            if init == "stationary":
-                draws = np.array([g.random() for g in gens])
-                states = np.minimum(np.searchsorted(cum_q, draws, side="right"), V - 1)
-            else:
-                states = np.full(hi - lo, word_to_index(init, A), dtype=np.int64)
+            draws = np.array([g.random() for g in gens])
+            states = np.minimum(np.searchsorted(cum_q, draws, side="right"), V - 1)
             for j in range(k - 1):
                 out[lo:hi, k - 2 - j] = states % A
                 states //= A
         for pos in range(k - 1, n, t_chunk):
             t = min(t_chunk, n - pos)
             start = out[lo:hi, pos - (k - 1) : pos].astype(np.int64) @ place
-            out[lo:hi, pos : pos + t] = _walk_chunk(cum_kernel, start, gens, t)
+            out[lo:hi, pos : pos + t] = _walk_chunk(cdf, start, gens, t)
     return out
 
 
@@ -154,13 +130,11 @@ def _chunk_shape(V: int, R: int, steps: int) -> tuple[int, int]:
     return max(1, min(R, per_state // t_chunk)), t_chunk
 
 
-def _walk_chunk(
-    cum_kernel: np.ndarray, start: np.ndarray, gens: list, T: int
-) -> np.ndarray:
+def _walk_chunk(cdf: np.ndarray, start: np.ndarray, gens: list, T: int) -> np.ndarray:
     """The next T symbols of each replica in ``gens`` from word states
-    ``start``, drawing T uniforms from each generator; see
-    :func:`sample_paths`."""
-    V, A = cum_kernel.shape
+    ``start``, drawing T uniforms from each generator; ``cdf`` holds the
+    kernel's first A-1 CDF columns.  See :func:`sample_paths`."""
+    V, A = cdf.shape[0], cdf.shape[1] + 1
     G = len(gens)
     L = math.isqrt(T - 1) + 1  # block length, ceil(sqrt(T))
     nb = -(-T // L)  # blocks per replica; the last one is padded
@@ -171,9 +145,8 @@ def _walk_chunk(
     u = u.reshape(M, L).T.copy()  # u[i, m]: step i of block m = g*nb + b
     # sym[i, m, s]: symbol step i of block m emits from state s
     sym = np.zeros((L, M, V), dtype=np.int8 if A <= 127 else np.int32)
-    for j in range(A):
-        sym += u[:, :, None] >= cum_kernel[:, j]
-    np.minimum(sym, A - 1, out=sym)
+    for j in range(A - 1):
+        sym += u[:, :, None] >= cdf[:, j]
     # advance every block from every start state; sym[i, m, s] becomes the
     # symbol of step i of block m when the block starts in state s
     state_dtype = np.int16 if V * A <= np.iinfo(np.int16).max else np.int64
@@ -194,20 +167,11 @@ def _walk_chunk(
     return picked.T.reshape(G, nb * L)[:, :T]
 
 
-def sample_path(spec: SamplerSpec) -> np.ndarray:
-    """Draw the single path described by ``spec`` (1-d array of symbols)."""
-    return sample_paths(spec.spectral, spec.n, spec.seed, 1, spec.init)[0]
-
-
-def birkhoff_sum(x: Sequence[int] | np.ndarray, phi: MarkovPotential) -> float:
-    """Windowed running sum of phi along x: sum over the n-k+1 contiguous
-    k-windows (no wraparound, unlike the estimators' cyclic counts)."""
-    return float(birkhoff_sums(x, phi))
-
-
 def birkhoff_sums(paths: np.ndarray, phi: MarkovPotential) -> np.ndarray:
-    """Row-wise :func:`birkhoff_sum` for an (R, n) batch of paths (a single
-    path of shape (n,) gives a 0-d array)."""
+    """Windowed running sum of phi along each row of an (R, n) batch of
+    paths: the sum over the n-k+1 contiguous k-windows (no wraparound,
+    unlike the estimators' cyclic counts).  A single path of shape (n,)
+    gives a 0-d array."""
     codes = window_codes(paths, phi.k, phi.alphabet_size)
     return phi.values[codes].sum(axis=-1)
 

@@ -105,13 +105,6 @@ class CountTable:
             self.alphabet_size, self.k, self.counts / self.n, stationary=True
         )
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "n": self.n, "counts": [int(c) for c in self.counts]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict, alphabet_size: int) -> "CountTable":
-        return cls(alphabet_size, int(d["k"]), int(d["n"]), np.asarray(d["counts"]))
-
 
 def components(table: CountTable) -> list[list[int]]:
     """Weakly-connected components of the support multigraph.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -209,7 +210,7 @@ def test_estimate_unreadable_path_file(config_file, tmp_path, capsys):
     assert main(["simulate", "--config", config_file, "--out", out_dir, "--n", "64"]) == 0
     sim = json.loads(capsys.readouterr().out)
     truncated = tmp_path / "truncated.bin"
-    truncated.write_bytes(open(sim["path_file"], "rb").read()[:10])
+    truncated.write_bytes(Path(sim["path_file"]).read_bytes()[:10])
     assert main(["estimate", "--config", config_file, "--path", str(truncated)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 

@@ -130,14 +130,14 @@ def _per_distribution_functionals(counts, n, A, k, rho):
     if k == 1:
         values = (hk, hk)
     else:
-        values = (hk, hk - entropy(bt.marginalize(nu, "right").weights))
+        values = (hk, hk - entropy(bt.marginalize(nu).weights))
     if rho is None:
         return values
     dk = divergence(nu.weights, rho.weights)
     if k == 1:
         return values + (dk, dk)
     dkm1 = divergence(
-        bt.marginalize(nu, "right").weights, bt.marginalize(rho, "right").weights
+        bt.marginalize(nu).weights, bt.marginalize(rho).weights
     )
     both_inf = math.isinf(dk) and math.isinf(dkm1)
     return values + (dk, math.inf if both_inf else dk - dkm1)
@@ -210,6 +210,7 @@ def test_continuity_bound_validates_delta():
     assert bt.continuity_bound(0.1, 2, 2) == pytest.approx(
         -2 * 0.1 * math.log(0.1 / 4), abs=1e-15
     )
+    assert bt.continuity_bound(0.0, 2, 2) == 0.0
     with pytest.raises(ValueError):
         bt.continuity_bound(0.5, 2, 2)  # above 1/e
 

@@ -216,6 +216,23 @@ def test_exact_finite_scgf_relative_needs_full_support():
         bt.exact_finite_scgf(phi, 6, 2, 0.5, "relative_conditional")
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_finite_n_scgfs_reject_non_finite_t(chain_potential, chain_spectral, t):
+    with pytest.raises(ValueError, match="finite real"):
+        bt.exact_finite_scgf(chain_potential, 6, 2, t)
+    with pytest.raises(ValueError, match="finite real"):
+        mc_scgf(chain_spectral, 64, 2, t, "conditional", 16, seed=3)
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_replica_stages_need_two_replicas(chain_potential, chain_spectral, replicas):
+    # one replica has no spread to give a stderr or a variance from
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        mc_scgf(chain_spectral, 64, 2, 0.5, "conditional", replicas, seed=3)
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        bt.variance_audit(chain_potential, 64, replicas, 3, sd=chain_spectral)
+
+
 def test_mc_scgf_basics(chain_spectral):
     out = mc_scgf(chain_spectral, 64, 2, 0.0, "conditional", 16, seed=3)
     assert out.estimate == pytest.approx(0.0, abs=1e-12)
@@ -248,6 +265,12 @@ def test_empirical_rate_hand_histogram():
         bt.empirical_rate([], n=10, bin_width=0.2)
     with pytest.raises(ValueError):
         bt.empirical_rate([0.1], n=10, bin_width=0.0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_empirical_rate_needs_positive_n(n):
+    with pytest.raises(ValueError, match="positive"):
+        bt.empirical_rate([0.1, 0.3], n=n, bin_width=0.2)
 
 
 def test_decomposition_audit(chain_potential, chain_spectral):

@@ -135,7 +135,7 @@ def test_potential_from_marginals_recovers_chain(chain_potential, chain_spectral
     phi = bt.potential_from_marginals(rho2)
     np.testing.assert_allclose(phi.values, chain_potential.values, atol=1e-12)
     # explicit consistent rho_1 accepted, inconsistent rejected
-    rho1 = bt.marginalize(rho2, "right")
+    rho1 = bt.marginalize(rho2)
     bt.potential_from_marginals(rho2, rho1)
     bad = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ def test_markov_blocks_extension(chain_spectral):
     rho2 = bt.equilibrium_blocks(chain_spectral, 2)
     rho3 = bt.markov_blocks(rho2, 3)
     # extension is consistent under right marginalization
-    assert bt.tv_distance(bt.marginalize(rho3, "right"), rho2) < 1e-12
+    assert bt.tv_distance(bt.marginalize(rho3), rho2) < 1e-12
     # and keeps the conditional entropy of the generating kernel
     assert bt.conditional_block_entropy(rho3) == pytest.approx(
         bt.conditional_block_entropy(rho2), abs=1e-12
@@ -309,5 +309,3 @@ def test_markov_potential_validation():
         bt.MarkovPotential(2, 1, np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         bt.MarkovPotential(2, 2, np.zeros(4), normalized=True)  # rows sum to 2
-    assert bt.MarkovPotential(2, 2, np.full(4, 0.3)).is_constant()
-    assert not bt.MarkovPotential(2, 2, np.array([0.3, 0.3, 0.3, 0.4])).is_constant()

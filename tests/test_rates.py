@@ -95,6 +95,13 @@ def test_renyi_scgf_routes(chain_potential, chain_spectral):
         bt.renyi_scgf(chain_spectral, 1.0, n=1)
 
 
+@pytest.mark.parametrize("n", [None, 20])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_renyi_scgf_rejects_nan_and_inf(chain_spectral, t, n):
+    with pytest.raises(ValueError):
+        bt.renyi_scgf(chain_spectral, t, n)
+
+
 def test_information_scgf_chain(chain_potential):
     assert bt.information_scgf(chain_potential, 0.0) == pytest.approx(0.0, abs=1e-12)
     # at t = 1 the potential drops out: topological pressure ln A
@@ -190,9 +197,6 @@ def test_entropy_curve_monotone(chain_potential):
     hs = [h for _, h in pts]
     assert hs[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert all(a > b for a, b in zip(hs, hs[1:]))
-    flat = bt.MarkovPotential(2, 1, np.log([0.5, 0.5]), normalized=True)
-    with pytest.raises(ValueError):
-        bt.entropy_curve(flat, [0.0, 1.0], require_strict=True)
 
 
 def test_asymptotic_variance_chain(chain_potential):
@@ -357,6 +361,72 @@ def test_entropy_rate_function_replays_bisection_bitwise(
         monkeypatch.undo()
         assert curve.values.tolist() == [want for want, _, _ in expected]
     assert linear > 0 and endpoints == 2 * 11
+
+
+#: Levels of the chain's rate function at which the replay's fallbacks run.
+_FALLBACK_LEVELS = (0.1, 0.3, 0.5, 0.6)
+
+
+def _no_newton_step(*args):
+    return None
+
+
+def _singular_poisson(sd):
+    raise bt.ConvergenceError("Poisson equation solve is singular")
+
+
+@pytest.mark.parametrize(
+    "name, stub",
+    [("_poisson_variance", _singular_poisson), ("_newton_step", _no_newton_step)],
+)
+def test_replay_without_a_root_is_the_plain_bisection(
+    chain_potential, monkeypatch, name, stub
+):
+    # a failed Poisson solve is caught, and a Newton that never steps gives
+    # up after its 30 iterations; either way the replay solves every
+    # undecided midpoint and still returns the plain bisection's bits
+    expected = [_bisection_rate(chain_potential, u)[0] for u in _FALLBACK_LEVELS]
+    monkeypatch.setattr(rates, name, stub)
+    got = [bt.entropy_rate_function(chain_potential, u) for u in _FALLBACK_LEVELS]
+    assert got == expected
+
+
+@pytest.mark.parametrize("u", _FALLBACK_LEVELS)
+def test_replay_solves_a_last_midpoint_decided_from_samples(
+    chain_potential, monkeypatch, u
+):
+    # two fake samples one ulp apart, one of them at the plain bisection's
+    # last midpoint m, decide every midpoint as the plain bisection did (h > u
+    # at or left of ``left``, h < u at or right of ``right``); no midpoint
+    # is solved in the loop, so m gets the one solve after it
+    solved, solve = [], bt.pressure
+
+    def recorded(phi, beta):
+        sd = solve(phi, beta)
+        solved.append(sd)
+        return sd
+
+    monkeypatch.setattr(bt, "pressure", recorded)
+    want, _, on_linear_branch = _bisection_rate(chain_potential, u)
+    monkeypatch.undo()
+    assert not on_linear_branch
+    probe, last = solved[0], solved[-1]
+    m = last.beta
+    if last.entropy > u:
+        left, right = m, math.nextafter(m, math.inf)
+    else:
+        left, right = math.nextafter(m, 0.0), m
+    samples = {
+        probe.beta: (probe.entropy, None),
+        left: (u + 1.0, None),
+        right: (u - 1.0, None),
+    }
+    monkeypatch.setattr(rates, "_locate_root", lambda *args: None)
+    solved.clear()
+    monkeypatch.setattr(rates, "pressure", recorded)
+    sd = rates._replay_bisection(chain_potential, u, probe.beta, samples)
+    assert [s.beta for s in solved] == [m]
+    assert max(0.0, -sd.potential_mean - u) == want
 
 
 def test_poisson_variance_matches_curvature_routes(chain_potential):

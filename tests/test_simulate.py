@@ -17,7 +17,7 @@ from blocktropy.simulate import _chunk_shape
 PINNED_CHAIN_DIGEST = "494cc8671a1c55fb2c4ebaa49d7be0cdccd48d34bbe4f40c60357aeeb738b1ce"
 
 
-def reference_paths(sd, n, seed, replicas=1, init="stationary", replica_offset=0):
+def reference_paths(sd, n, seed, replicas=1, replica_offset=0):
     """Step-by-step oracle: one interpreted step per symbol, vectorized over
     replicas, drawing each replica's uniforms in blocks of 8192."""
     A = sd.potential.alphabet_size
@@ -33,14 +33,11 @@ def reference_paths(sd, n, seed, replicas=1, init="stationary", replica_offset=0
 
     states = np.zeros(R, dtype=np.int64)
     if k >= 2:
-        if init == "stationary":
-            cum_q = np.cumsum(sd.vertex_stationary)
-            draws = np.array([g.random() for g in gens])
-            states = np.minimum(
-                np.searchsorted(cum_q, draws, side="right"), V - 1
-            ).astype(np.int64)
-        else:
-            states[:] = bt.word_to_index(init, A)
+        cum_q = np.cumsum(sd.vertex_stationary)
+        draws = np.array([g.random() for g in gens])
+        states = np.minimum(
+            np.searchsorted(cum_q, draws, side="right"), V - 1
+        ).astype(np.int64)
         tmp = states.copy()
         for j in range(k - 1):
             out[:, k - 2 - j] = (tmp % A).astype(dtype)
@@ -90,33 +87,25 @@ def test_sampler_matches_step_by_step_reference(random_spectra, A, k, R):
     sd = random_spectra[(A, k)]
     t_chunk = _chunk_shape(A ** (k - 1), R, 1 << 62)[1]
     lengths = [k - 1, k, k - 1 + t_chunk - 1, k - 1 + t_chunk + 1, k - 1 + 3 * t_chunk + 37]
-    inits = ["stationary"] + ([tuple(j % A for j in range(1, k))] if k > 1 else [])
-    for init in inits:
-        ref = reference_paths(sd, lengths[-1], 77, R, init, replica_offset=5)
-        for n in lengths:
-            got = bt.sample_paths(sd, n, 77, R, init, replica_offset=5)
-            assert got.dtype == ref.dtype and got.shape == (R, n)
-            np.testing.assert_array_equal(got, ref[:, :n], err_msg=f"n={n} init={init}")
+    ref = reference_paths(sd, lengths[-1], 77, R, replica_offset=5)
+    for n in lengths:
+        got = bt.sample_paths(sd, n, 77, R, replica_offset=5)
+        assert got.dtype == ref.dtype and got.shape == (R, n)
+        np.testing.assert_array_equal(got, ref[:, :n], err_msg=f"n={n}")
 
 
 def test_batch_matches_single_and_offset(chain_spectral):
     batch = bt.sample_paths(chain_spectral, 200, seed=42, replicas=5)
     assert batch.shape == (5, 200)
-    single = bt.sample_path(bt.SamplerSpec(chain_spectral, 200, seed=42))
-    np.testing.assert_array_equal(batch[0], single)
+    single = bt.sample_paths(chain_spectral, 200, seed=42)
+    np.testing.assert_array_equal(batch[:1], single)
     # replica r in a shifted group reproduces replica offset+r of the full run
     tail = bt.sample_paths(chain_spectral, 200, seed=42, replicas=2, replica_offset=3)
     np.testing.assert_array_equal(tail, batch[3:5])
 
 
-def test_fixed_initial_word(chain_spectral):
-    paths = bt.sample_paths(chain_spectral, 50, seed=7, replicas=8, init=(1,))
-    assert np.all(paths[:, 0] == 1)
-    # stationary init draws both starting symbols across seeds
-    starts = {
-        int(bt.sample_path(bt.SamplerSpec(chain_spectral, 10, seed=s))[0])
-        for s in range(12)
-    }
+def test_stationary_start_draws_both_symbols(chain_spectral):
+    starts = {int(bt.sample_paths(chain_spectral, 10, seed=s)[0, 0]) for s in range(12)}
     assert starts == {0, 1}
 
 
@@ -135,7 +124,7 @@ def test_empirical_transitions_match_kernel(chain_spectral):
     np.testing.assert_allclose(kernel_hat, [[0.9, 0.1], [0.2, 0.8]], atol=0.01)
     # one-block occupation near (2/3, 1/3)
     np.testing.assert_allclose(
-        bt.marginalize(nu, "right").weights, [2 / 3, 1 / 3], atol=0.01
+        bt.marginalize(nu).weights, [2 / 3, 1 / 3], atol=0.01
     )
 
 
@@ -163,7 +152,9 @@ def test_birkhoff_sum_hand_value(chain_potential):
     x = [0, 1, 1, 0]
     v = chain_potential.values
     expected = v[1] + v[3] + v[2]  # windows 01, 11, 10
-    assert bt.birkhoff_sum(x, chain_potential) == pytest.approx(expected, abs=1e-15)
+    single = bt.birkhoff_sums(np.array(x), chain_potential)
+    assert single.shape == ()
+    assert float(single) == pytest.approx(expected, abs=1e-15)
     batch = bt.birkhoff_sums(np.array([x, [0, 0, 0, 0]]), chain_potential)
     np.testing.assert_allclose(batch, [expected, 3 * v[0]], atol=1e-15)
 
@@ -204,15 +195,13 @@ def test_path_file_error_modes(tmp_path):
         bt.read_path_file(str(corrupt))
 
 
-def test_sampler_spec_validation(chain_spectral):
-    with pytest.raises(ValueError):
-        bt.SamplerSpec(chain_spectral, 0, seed=1)  # n < k-1
-    with pytest.raises(ValueError):
-        bt.SamplerSpec(chain_spectral, 100, seed=-1)
-    with pytest.raises(ValueError):
-        bt.SamplerSpec(chain_spectral, 100, seed=1 << 64)
-    with pytest.raises(ValueError):
-        bt.SamplerSpec(chain_spectral, 100, seed=1, init=(0, 1))  # wants length 1
+def test_sample_paths_validation(chain_spectral):
+    with pytest.raises(ValueError, match="at least k-1"):
+        bt.sample_paths(chain_spectral, 0, seed=1)
+    with pytest.raises(ValueError, match="64 bits"):
+        bt.sample_paths(chain_spectral, 100, seed=-1)
+    with pytest.raises(ValueError, match="64 bits"):
+        bt.sample_paths(chain_spectral, 100, seed=1 << 64)
     assert bt.RNG_NAME == "numpy.random.PCG64"
 
 

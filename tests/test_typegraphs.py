@@ -49,14 +49,6 @@ def test_count_table_validation():
         bt.CountTable(2, 2, 4, np.array([2, -1, 1, 2]))  # negative
 
 
-def test_count_table_json_round_trip():
-    table = bt.CountTable(2, 2, 6, np.array([2, 2, 2, 0]))
-    data = table.to_json_dict()
-    assert data == {"k": 2, "n": 6, "counts": [2, 2, 2, 0]}
-    back = bt.CountTable.from_json_dict(data, 2)
-    np.testing.assert_array_equal(back.counts, table.counts)
-
-
 def test_enumerate_types_tiny_frozen():
     # |A|=2, n=2, k=1 -> (1,0), (1/2,1/2), (0,1)
     types = bt.enumerate_types(2, 1, 2)
