@@ -26,12 +26,10 @@ __all__ = [
     "block_schedule",
     "cyclic_window_codes",
     "empirical_block_measure",
-    "index_to_word",
     "marginalize",
     "stationarity_defect",
     "tv_distance",
     "window_codes",
-    "word_to_index",
 ]
 
 #: Absolute tolerance for "weights sum to one" checks.
@@ -39,30 +37,6 @@ _MASS_TOL = 1e-12
 
 #: Absolute tolerance below which a stationarity defect is considered zero.
 _BALANCE_TOL = 1e-12
-
-
-def word_to_index(word: Sequence[int], alphabet_size: int) -> int:
-    """Return the base-``alphabet_size`` code of ``word``.
-
-    The first symbol is the most significant digit.
-    """
-    code = 0
-    for a in word:
-        if not 0 <= a < alphabet_size:
-            raise ValueError(f"symbol {a} outside alphabet of size {alphabet_size}")
-        code = code * alphabet_size + int(a)
-    return code
-
-
-def index_to_word(code: int, k: int, alphabet_size: int) -> tuple[int, ...]:
-    """Inverse of :func:`word_to_index` for words of length ``k``."""
-    if not 0 <= code < alphabet_size**k:
-        raise ValueError(f"code {code} out of range for {k}-words")
-    out = []
-    for _ in range(k):
-        out.append(code % alphabet_size)
-        code //= alphabet_size
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -104,16 +78,6 @@ class BlockDistribution:
                 raise ValueError(
                     f"distribution marked stationary but defect is {defect:.3e}"
                 )
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.weights))
-
-    def prob(self, word: Sequence[int]) -> float:
-        """Mass of an explicit word, given as a sequence of symbols."""
-        if len(word) != self.k:
-            raise ValueError(f"expected a {self.k}-word, got length {len(word)}")
-        return float(self.weights[word_to_index(word, self.alphabet_size)])
 
 
 def window_codes(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:

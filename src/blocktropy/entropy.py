@@ -26,14 +26,11 @@ from .blocks import BlockDistribution, _distinct_rows, block_counts
 __all__ = [
     "EntropyRecord",
     "conditional_block_entropy",
-    "conditional_relative_entropy",
     "continuity_bound",
     "functionals_from_counts",
     "measure_functional",
     "plug_in_estimates",
-    "relative_block_entropy",
     "select_functional",
-    "shannon_block_entropy",
     "MEASURE_FUNCTIONALS",
 ]
 
@@ -84,11 +81,6 @@ def _row_functionals(
     return values + (dk, dk - dkm1)
 
 
-def shannon_block_entropy(nu: BlockDistribution) -> float:
-    """H_k(nu) = -sum nu ln nu, with 0 ln 0 = 0."""
-    return _entropy(nu.weights)
-
-
 def conditional_block_entropy(nu: BlockDistribution) -> float:
     """h_k(nu) = H_k(nu) - H_{k-1} of the last-symbol marginal (H_0 = 0).
 
@@ -96,27 +88,6 @@ def conditional_block_entropy(nu: BlockDistribution) -> float:
     entropy rate of the process.
     """
     return _row_functionals(nu.weights, nu.alphabet_size, nu.k)[1]
-
-
-def relative_block_entropy(nu: BlockDistribution, rho: BlockDistribution) -> float:
-    """D_k(nu | rho); +inf if nu's support is not contained in rho's."""
-    return _divergence(nu.weights, _reference(rho, nu.alphabet_size, nu.k)[0])
-
-
-def conditional_relative_entropy(
-    nu: BlockDistribution, rho: BlockDistribution
-) -> float:
-    """Delta_k = D_k(nu|rho) - D_{k-1} of the last-symbol marginals (D_0 = 0).
-
-    Nonnegative for stationary nu whenever rho is the k-marginal of a
-    (k-1)-step Markov measure.  For the empirical k-blocks of an n-sample
-    on the schedule k(n) of :func:`block_schedule`, this plug-in Delta_k
-    carries a bias of about (A-1) C_{k-1} / (2n) <= (A-1) A**(k-1) / (2n),
-    with C_{k-1} the number of distinct (k-1)-contexts seen, so it tends
-    to 0 but only at rate about n**(-eps).
-    """
-    A, k = nu.alphabet_size, nu.k
-    return _row_functionals(nu.weights, A, k, _reference(rho, A, k))[3]
 
 
 def functionals_from_counts(
@@ -132,9 +103,9 @@ def functionals_from_counts(
     (R, 4), columns in :class:`EntropyRecord` order.  A functional of the
     counts depends only on the type, so each distinct row is evaluated
     once and the values are gathered back.  Every sum runs over the
-    nonzero entries of its row, in code order, exactly as the
-    single-distribution functions above sum, so each value is bitwise the
-    one they return for that row's law.
+    nonzero entries of its row, in code order, exactly as
+    :func:`conditional_block_entropy` and :func:`measure_functional` sum,
+    so each value is bitwise the one they give for that row's law.
     """
     counts = np.asarray(counts)
     alphabet_size = round(counts.shape[-1] ** (1.0 / k))
@@ -183,8 +154,8 @@ def continuity_bound(delta: float, k: int, alphabet_size: int) -> float:
     Equals -2 delta ln(delta / A**k) and requires delta <= 1/e, where the
     bound is monotone increasing in delta.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     if delta > 1.0 / math.e:
         raise ValueError("continuity bound requires delta <= 1/e")
     if delta == 0.0:

@@ -544,6 +544,8 @@ def empirical_rate(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one value")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if n < 1:
         raise ValueError("path length n must be positive")
     if not bin_width > 0:

@@ -36,11 +36,9 @@ __all__ = [
     "equilibrium_blocks",
     "markov_blocks",
     "normalize_potential",
-    "potential_from_marginals",
     "pressure",
     "relative_entropy_rate",
     "spectral_to_json_dict",
-    "transfer_matrix",
 ]
 
 #: Power-iteration tolerance and cap.
@@ -166,11 +164,6 @@ def _scaled_power(
     return row, log_scale
 
 
-def transfer_matrix(phi: MarkovPotential, beta: float) -> np.ndarray:
-    """Dense V x V transfer matrix of beta*phi on (k-1)-word states."""
-    return _arc_matrix(np.exp(beta * phi.values), phi.alphabet_size)
-
-
 def _perron_eig(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Dense eigensolve for spectra power iteration cannot split.
 
@@ -257,6 +250,8 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
     large |beta| stays in floating-point range; the shift adds back into
     the reported pressure exactly.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     A, k = phi.alphabet_size, phi.k
     V = A ** (k - 1)
     psi = beta * phi.values
@@ -332,33 +327,6 @@ def normalize_potential(phi: MarkovPotential) -> tuple[MarkovPotential, float]:
     return MarkovPotential(A, k, values, normalized=True), sd.pressure
 
 
-def potential_from_marginals(
-    rho_k: BlockDistribution, rho_km1: BlockDistribution | None = None
-) -> MarkovPotential:
-    """Normalized potential ln rho_k(w) - ln rho_{k-1}(prefix w).
-
-    The log-ratio of consistent stationary marginals is the log transition
-    kernel of the induced Markov measure, hence automatically normalized.
-    For k = 1 the denominator is the empty word (mass one) and the result
-    is simply ln rho_1.  Full support is required.
-    """
-    if not rho_k.stationary:
-        raise ValueError("potential_from_marginals requires a stationary marginal")
-    A, k = rho_k.alphabet_size, rho_k.k
-    if np.any(rho_k.weights <= 0.0):
-        raise ValueError("zero-mass word: potential requires full support")
-    if k == 1:
-        return MarkovPotential(A, 1, np.log(rho_k.weights), normalized=True)
-    derived = marginalize(rho_k)
-    if rho_km1 is not None:
-        if (rho_km1.alphabet_size, rho_km1.k) != (A, k - 1):
-            raise ValueError("rho_{k-1} lives on the wrong block space")
-        if float(np.max(np.abs(derived.weights - rho_km1.weights))) > 1e-9:
-            raise ValueError("marginals are not consistent")
-    values = np.log(rho_k.weights) - np.repeat(np.log(derived.weights), A)
-    return MarkovPotential(A, k, values, normalized=True)
-
-
 def relative_entropy_rate(nu: BlockDistribution, phi: MarkovPotential) -> float:
     """Specific relative entropy -E_nu[phi] - h(nu) of a stationary Markov
     measure against the equilibrium state of a normalized potential.
@@ -420,6 +388,8 @@ def direct_pressure_estimate(phi: MarkovPotential, beta: float, n: int) -> float
     V = A**(k-1); converges to the pressure at rate O(1/n).
     """
     A, k = phi.alphabet_size, phi.k
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if n < k:
         raise ValueError("need n >= k")
     V = A ** (k - 1)

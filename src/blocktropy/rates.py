@@ -46,7 +46,6 @@ from .pressure import (
 __all__ = [
     "RateCurve",
     "asymptotic_variance",
-    "entropy_curve",
     "entropy_rate_function",
     "entropy_scgf",
     "extreme_mean",
@@ -151,16 +150,6 @@ def renyi_scgf(sd: SpectralData, t: float, n: int | None = None) -> float:
     row = np.where(sd.vertex_stationary > 0, row, 0.0)
     row, log_scale = _scaled_power(row, B, n - k + 1)
     return (t + 1.0) * (math.log(float(row.sum())) + log_scale) / n
-
-
-def entropy_curve(
-    phi: MarkovPotential,
-    beta_grid: np.ndarray | list[float],
-) -> list[tuple[float, float]]:
-    """Equilibrium entropy h(beta) along a grid of inverse temperatures,
-    strictly decreasing in beta unless the potential is constant."""
-    _require_normalized(phi)
-    return [(float(b), pressure(phi, float(b)).entropy) for b in beta_grid]
 
 
 def zero_temperature_entropy(phi: MarkovPotential) -> tuple[float, bool]:
@@ -480,6 +469,7 @@ def rate_curve(
 
 def legendre(curve: RateCurve, x: float) -> float:
     """Numerical Legendre transform sup_u (x*u - curve(u)) over the grid."""
+    _require_number(x)
     finite = np.isfinite(curve.values)
     if not finite.any():
         raise ValueError("Legendre transform of a curve with no finite values")

@@ -1,4 +1,4 @@
-"""Word codecs, block distributions, windows, and the block-order schedule."""
+"""Word codes, block distributions, windows, and the block-order schedule."""
 
 from __future__ import annotations
 
@@ -10,29 +10,40 @@ import pytest
 import blocktropy as bt
 
 
+def _code(word, alphabet_size: int) -> int:
+    """The code of a k-word: the window code of the word read as a k-sample."""
+    return int(bt.window_codes(np.array(word), len(word), alphabet_size)[0])
+
+
 def test_word_codec_round_trip():
+    # the base-A digits of a word's code, most significant first, are the word
     rng = np.random.default_rng(1)
     for _ in range(200):
         A = int(rng.integers(2, 5))
         k = int(rng.integers(1, 6))
         word = tuple(int(s) for s in rng.integers(0, A, size=k))
-        code = bt.word_to_index(word, A)
+        code = _code(word, A)
         assert 0 <= code < A**k
-        assert bt.index_to_word(code, k, A) == word
+        digits = []
+        for _ in range(k):
+            code, digit = divmod(code, A)
+            digits.append(digit)
+        assert tuple(reversed(digits)) == word
 
 
 def test_word_codec_known_values():
-    assert bt.word_to_index((0, 1), 2) == 1
-    assert bt.word_to_index((1, 0), 2) == 2
-    assert bt.word_to_index((1, 1, 1), 2) == 7
-    assert bt.index_to_word(5, 3, 2) == (1, 0, 1)
+    assert _code((0, 1), 2) == 1
+    assert _code((1, 0), 2) == 2
+    assert _code((1, 1, 1), 2) == 7
+    assert _code((1, 0, 1), 2) == 5
+    assert _code((2, 0), 3) == 6
 
 
 def test_word_codec_rejects_bad_symbols():
-    with pytest.raises(ValueError):
-        bt.word_to_index((0, 2), 2)
-    with pytest.raises(ValueError):
-        bt.index_to_word(8, 3, 2)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        bt.block_counts(np.array([0, 2]), 2, 2)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        bt.empirical_block_measure(np.array([0, -1, 1]), 1, 2)
 
 
 def test_window_codes_hand_example():
@@ -106,8 +117,9 @@ def test_tv_distance_and_prob():
     a = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     b = bt.BlockDistribution(2, 1, np.array([1.0, 0.0]))
     assert bt.tv_distance(a, b) == pytest.approx(1.0)
-    assert a.prob((0,)) == pytest.approx(0.5)
-    assert b.support_size == 1
+    # the mass of a word sits at its code
+    assert a.weights[_code((0,), 2)] == 0.5
+    assert b.weights[_code((1,), 2)] == 0.0
 
 
 def test_block_schedule_reference_point():

@@ -21,7 +21,7 @@ def test_block_entropy_uniform_exact():
             nu = bt.BlockDistribution(
                 A, k, np.full(A**k, 1.0 / A**k), stationary=True
             )
-            assert bt.shannon_block_entropy(nu) == pytest.approx(
+            assert k * bt.measure_functional("average", nu) == pytest.approx(
                 k * math.log(A), abs=1e-12
             )
             assert bt.conditional_block_entropy(nu) == pytest.approx(
@@ -31,7 +31,7 @@ def test_block_entropy_uniform_exact():
 
 def test_block_entropy_hand_value():
     nu = bt.BlockDistribution(2, 1, np.array([0.25, 0.75]))
-    assert bt.shannon_block_entropy(nu) == pytest.approx(
+    assert bt.measure_functional("average", nu) == pytest.approx(
         _hand_entropy([0.25, 0.75]), abs=1e-15
     )
 
@@ -42,7 +42,7 @@ def test_conditional_entropy_iid_blocks():
     for k in (1, 2, 3):
         w = np.array(
             [
-                math.prod(p if b else (1 - p) for b in bt.index_to_word(c, k, 2))
+                math.prod(p if b == "1" else 1 - p for b in format(c, f"0{k}b"))
                 for c in range(2**k)
             ]
         )
@@ -56,14 +56,16 @@ def test_relative_entropy_hand_value():
     nu = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     rho = bt.BlockDistribution(2, 1, np.array([0.25, 0.75]))
     expect = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
-    assert bt.relative_block_entropy(nu, rho) == pytest.approx(expect, abs=1e-15)
+    assert bt.measure_functional("relative_average", nu, rho) == pytest.approx(
+        expect, abs=1e-15
+    )
 
 
 def test_relative_entropy_support_violation_is_inf():
     nu = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     rho = bt.BlockDistribution(2, 1, np.array([1.0, 0.0]))
-    assert bt.relative_block_entropy(nu, rho) == math.inf
-    assert bt.conditional_relative_entropy(nu, rho) == math.inf
+    assert bt.measure_functional("relative_average", nu, rho) == math.inf
+    assert bt.measure_functional("relative_conditional", nu, rho) == math.inf
 
 
 def test_conditional_relative_entropy_chain_rule_nonnegative(make_stationary):
@@ -74,15 +76,15 @@ def test_conditional_relative_entropy_chain_rule_nonnegative(make_stationary):
         k = int(rng.integers(2, 4))
         nu = make_stationary(rng, A, k)
         rho = make_stationary(rng, A, k)
-        d = bt.conditional_relative_entropy(nu, rho)
+        d = bt.measure_functional("relative_conditional", nu, rho)
         assert d >= -1e-12
 
 
 def test_relative_entropy_zero_iff_equal(make_stationary):
     rng = np.random.default_rng(4)
     nu = make_stationary(rng, 2, 2)
-    assert bt.relative_block_entropy(nu, nu) == pytest.approx(0.0, abs=1e-12)
-    assert bt.conditional_relative_entropy(nu, nu) == pytest.approx(0.0, abs=1e-12)
+    for name in ("relative_average", "relative_conditional"):
+        assert bt.measure_functional(name, nu, nu) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plug_in_estimates_hand_string():
@@ -103,10 +105,10 @@ def test_plug_in_estimates_with_reference(chain_spectral):
     rec = bt.plug_in_estimates(x, 3, 2, rho)
     assert rec.rel_entropy is not None and rec.rel_entropy >= 0
     assert rec.rel_cond_entropy is not None and rec.rel_cond_entropy >= -1e-12
-    # the record's relative entropy agrees with the standalone functional
+    # the record's relative entropy agrees with the functional of the law
     nu = bt.empirical_block_measure(x, 3, 2)
     assert rec.rel_entropy == pytest.approx(
-        bt.relative_block_entropy(nu, rho), abs=1e-14
+        3 * bt.measure_functional("relative_average", nu, rho), abs=1e-14
     )
 
 
@@ -219,17 +221,12 @@ def test_measure_functional_dispatch(make_stationary):
     rng = np.random.default_rng(5)
     nu = make_stationary(rng, 2, 3)
     rho = make_stationary(rng, 2, 3)
-    assert bt.measure_functional("conditional", nu) == pytest.approx(
-        bt.conditional_block_entropy(nu)
-    )
-    assert bt.measure_functional("average", nu) == pytest.approx(
-        bt.shannon_block_entropy(nu) / 3
-    )
-    assert bt.measure_functional("relative_conditional", nu, rho) == pytest.approx(
-        bt.conditional_relative_entropy(nu, rho)
-    )
-    assert bt.measure_functional("relative_average", nu, rho) == pytest.approx(
-        bt.relative_block_entropy(nu, rho) / 3
-    )
+    # (H_k, h_k, D_k, Delta_k) of the law, summed per distribution
+    hk, cond, dk, delta = _per_distribution_functionals(nu.weights, 1, 2, 3, rho)
+    assert bt.measure_functional("conditional", nu) == cond
+    assert bt.conditional_block_entropy(nu) == cond
+    assert bt.measure_functional("average", nu) == hk / 3
+    assert bt.measure_functional("relative_conditional", nu, rho) == delta
+    assert bt.measure_functional("relative_average", nu, rho) == dk / 3
     with pytest.raises(ValueError):
         bt.measure_functional("nope", nu)

@@ -4,6 +4,7 @@ documented error before any work is done."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ GUARDS = {
     "block-law-order": (
         lambda: bt.BlockDistribution(2, 0, np.ones(1)), ValueError, "k must be >= 1"
     ),
-    "block-law-prob-length": (lambda: UNIFORM_2.prob((0,)), ValueError, "2-word"),
     "window-codes-short": (
         lambda: bt.window_codes(np.array([0, 1]), 3, 2), ValueError, "no 3-windows"
     ),
@@ -79,6 +79,9 @@ GUARDS = {
     "continuity-delta": (
         lambda: bt.continuity_bound(-0.1, 2, 2), ValueError, "nonnegative"
     ),
+    "continuity-delta-nan": (
+        lambda: bt.continuity_bound(math.nan, 2, 2), ValueError, "nonnegative"
+    ),
     "select-reference": (
         lambda: bt.select_functional("relative_conditional", np.zeros((3, 2)), 2),
         ValueError,
@@ -89,10 +92,41 @@ GUARDS = {
         ValueError,
         "must be a mapping",
     ),
-    "marginals-space": (
-        lambda: bt.potential_from_marginals(UNIFORM_2, UNIFORM_2),
+    "pressure-beta-nan": (
+        lambda: bt.pressure(CHAIN, math.nan), ValueError, "beta must be finite"
+    ),
+    "pressure-beta-inf": (
+        lambda: bt.pressure(CHAIN, math.inf), ValueError, "beta must be finite"
+    ),
+    "pressure-beta-neg-inf": (
+        lambda: bt.pressure(CHAIN, -math.inf), ValueError, "beta must be finite"
+    ),
+    "information-scgf-inf": (
+        lambda: bt.information_scgf(CHAIN, math.inf),
         ValueError,
-        "wrong block space",
+        "beta must be finite",
+    ),
+    "direct-pressure-nan": (
+        lambda: bt.direct_pressure_estimate(CHAIN, math.nan, 10),
+        ValueError,
+        "beta must be finite",
+    ),
+    "legendre-nan": (
+        lambda: bt.legendre(
+            bt.RateCurve("entropy_rate", np.array([0.1]), np.array([0.0])), math.nan
+        ),
+        ValueError,
+        "got nan",
+    ),
+    "empirical-rate-nan": (
+        lambda: bt.empirical_rate([0.1, math.nan], 10, 0.02),
+        ValueError,
+        "values must be finite",
+    ),
+    "empirical-rate-inf": (
+        lambda: bt.empirical_rate([0.1, math.inf], 10, 0.02),
+        ValueError,
+        "values must be finite",
     ),
     "relative-rate-stationary": (
         lambda: bt.relative_entropy_rate(SKEWED, CHAIN), ValueError, "stationary"

@@ -33,14 +33,18 @@ def test_chain_closed_forms(chain_potential, chain_spectral):
     assert sd.equilibrium.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _transfer_matrix(phi: bt.MarkovPotential, beta: float) -> np.ndarray:
+    return pressure_module._arc_matrix(np.exp(beta * phi.values), phi.alphabet_size)
+
+
 def test_transfer_matrix_hand_values(chain_potential):
-    M = bt.transfer_matrix(chain_potential, 1.0)
+    M = _transfer_matrix(chain_potential, 1.0)
     np.testing.assert_allclose(M, [[0.9, 0.1], [0.2, 0.8]], atol=1e-15)
-    M2 = bt.transfer_matrix(chain_potential, 2.0)
+    M2 = _transfer_matrix(chain_potential, 2.0)
     np.testing.assert_allclose(M2, [[0.81, 0.01], [0.04, 0.64]], atol=1e-15)
     # depth-one potential collapses to a single state
     bern = bt.MarkovPotential(2, 1, np.log([0.3, 0.7]), normalized=True)
-    np.testing.assert_allclose(bt.transfer_matrix(bern, 1.0), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(_transfer_matrix(bern, 1.0), [[1.0]], atol=1e-15)
 
 
 def test_pressure_identity_and_variational_bound(make_potential, make_stationary):
@@ -102,7 +106,7 @@ def test_pressure_strong_tilt_primitive(tilt_reproducer):
         assert np.isfinite(sd.pressure) and sd.right_vector.min() > 0.0, beta
         # the right vector is a Perron vector of the shifted transfer matrix
         psi = beta * phi.values
-        M = bt.transfer_matrix(bt.MarkovPotential(4, 3, psi - psi.max()), 1.0)
+        M = pressure_module._arc_matrix(np.exp(psi - psi.max()), 4)
         r = sd.right_vector
         lam = math.exp(sd.pressure - psi.max())
         assert np.max(np.abs(M @ r - lam * r)) <= 1e-12 * lam * r.max(), beta
@@ -128,29 +132,6 @@ def test_pressure_strong_tilt_variational_bounds():
     for beta in (100.0, 170.0):
         p = bt.pressure(phi, beta).pressure
         assert beta * m - 1e-9 <= p <= beta * m + math.log(3) + 1e-9, beta
-
-
-def test_potential_from_marginals_recovers_chain(chain_potential, chain_spectral):
-    rho2 = bt.equilibrium_blocks(chain_spectral, 2)
-    phi = bt.potential_from_marginals(rho2)
-    np.testing.assert_allclose(phi.values, chain_potential.values, atol=1e-12)
-    # explicit consistent rho_1 accepted, inconsistent rejected
-    rho1 = bt.marginalize(rho2)
-    bt.potential_from_marginals(rho2, rho1)
-    bad = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        bt.potential_from_marginals(rho2, bad)
-    # depth-one case: log of the weights
-    phi1 = bt.potential_from_marginals(
-        bt.BlockDistribution(2, 1, np.array([0.25, 0.75]), stationary=True)
-    )
-    np.testing.assert_allclose(phi1.values, np.log([0.25, 0.75]), atol=1e-15)
-    with pytest.raises(ValueError):
-        bt.potential_from_marginals(bt.BlockDistribution(2, 2, np.full(4, 0.25)))
-    with pytest.raises(ValueError):
-        bt.potential_from_marginals(
-            bt.BlockDistribution(2, 2, np.array([0.5, 0, 0, 0.5]), stationary=True)
-        )
 
 
 def test_markov_blocks_extension(chain_spectral):
