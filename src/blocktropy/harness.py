@@ -548,8 +548,8 @@ def empirical_rate(
         raise ValueError("values must be finite")
     if n < 1:
         raise ValueError("path length n must be positive")
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ValueError("bin_width must be positive and finite")
     idx = np.floor(values / bin_width).astype(np.int64)
     lo, hi = int(idx.min()), int(idx.max())
     counts = np.bincount(idx - lo, minlength=hi - lo + 1)

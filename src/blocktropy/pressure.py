@@ -203,31 +203,47 @@ def _perron(M: np.ndarray) -> tuple[float, np.ndarray]:
     point), with a dense eigensolve fallback when the gap is too small for
     iteration to converge within the cap, taken as soon as the stall test
     sees that it will not.
+
+    A step makes the product w = M @ v, its sum s and w / s, written into
+    ``trail``: row 0 holds the iterate that ended the last stall window,
+    rows 1 to _STALL_WINDOW this window's iterates.  The step change
+    max|w - v| is taken only once the scalar test on s passes, and the
+    stall test takes a whole window's changes from ``trail`` at its end.
+    They are the same IEEE differences and maxima as a per-step
+    max|w - v|, so every iterate, stop and stall decision is bit for bit
+    that of the loop which takes the change at every step (the tests keep
+    that loop as the reference).
     """
     V = M.shape[0]
-    v = np.full(V, 1.0 / V)
-    lam = 0.0
-    window = previous = 0.0
+    trail = np.empty((_STALL_WINDOW + 1, V))
+    trail[0] = 1.0 / V
+    rows = list(trail)
+    v = rows[0]
+    lam = previous = 0.0
     for step in range(1, _POWER_MAX_ITER + 1):
         w = M @ v
-        s = float(w.sum())
+        s = float(np.add.reduce(w))
         if not math.isfinite(s) or s <= 0.0:
             raise ReducibilityError("transfer matrix iterate lost positivity")
-        w /= s
-        change = float(np.abs(w - v).max())
-        if change < _POWER_TOL and abs(s - lam) < _POWER_TOL * max(1.0, abs(s)):
+        slot = (step - 1) % _STALL_WINDOW + 1
+        w = np.divide(w, s, rows[slot])
+        if abs(s - lam) < _POWER_TOL * max(1.0, abs(s)) and (
+            float(np.maximum.reduce(np.abs(w - v))) < _POWER_TOL
+        ):
             # two polishing steps sharpen the eigenpair to machine accuracy
             for _ in range(2):
                 w = M @ w
-                s = float(w.sum())
+                s = float(np.add.reduce(w))
                 w /= s
             return s, w
-        if change > window:
-            window = change
-        if step % _STALL_WINDOW == 0:
-            if previous > 0.0 and _stalled(previous, window, change, step):
+        if slot == _STALL_WINDOW:
+            changes = np.maximum.reduce(np.abs(trail[1:] - trail[:-1]), axis=1)
+            window = float(np.maximum.reduce(changes))
+            if previous > 0.0 and _stalled(previous, window, float(changes[-1]), step):
                 break
-            previous, window = window, 0.0
+            previous = window
+            rows[0][:] = w
+            w = rows[0]
         v, lam = w, s
     return _perron_eig(M)
 

@@ -469,7 +469,8 @@ def rate_curve(
 
 def legendre(curve: RateCurve, x: float) -> float:
     """Numerical Legendre transform sup_u (x*u - curve(u)) over the grid."""
-    _require_number(x)
+    if not math.isfinite(x):
+        raise ValueError(f"slope must be finite, got {x}")
     finite = np.isfinite(curve.values)
     if not finite.any():
         raise ValueError("Legendre transform of a curve with no finite values")

@@ -18,6 +18,8 @@ UNIFORM_1 = bt.BlockDistribution(2, 1, np.full(2, 0.5), stationary=True)
 UNIFORM_2 = bt.BlockDistribution(2, 2, np.full(4, 0.25), stationary=True)
 #: two 1-marginals (0.9, 0.1) and (0.7, 0.3): not the law of a stationary process
 SKEWED = bt.BlockDistribution(2, 2, np.array([0.7, 0.2, 0.0, 0.1]))
+#: a rate curve whose grid holds u = 0, where an infinite slope gives inf * 0
+CURVE_AT_ZERO = bt.RateCurve("entropy_rate", np.array([0.0, 0.1]), np.array([0.0, 0.5]))
 
 
 def _bad_kernel_paths():
@@ -117,6 +119,17 @@ GUARDS = {
         ),
         ValueError,
         "got nan",
+    ),
+    "legendre-inf": (
+        lambda: bt.legendre(CURVE_AT_ZERO, math.inf), ValueError, "slope must be finite"
+    ),
+    "legendre-neg-inf": (
+        lambda: bt.legendre(CURVE_AT_ZERO, -math.inf), ValueError, "slope must be finite"
+    ),
+    "empirical-rate-bin-width-inf": (
+        lambda: bt.empirical_rate([0.1, 0.2], 10, math.inf),
+        ValueError,
+        "bin_width must be positive and finite",
     ),
     "empirical-rate-nan": (
         lambda: bt.empirical_rate([0.1, math.nan], 10, 0.02),

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
 
@@ -112,6 +113,13 @@ def test_pressure_strong_tilt_primitive(tilt_reproducer):
         assert np.max(np.abs(M @ r - lam * r)) <= 1e-12 * lam * r.max(), beta
 
 
+#: An A = 3, k = 2 potential whose strong tilts _perron stops on too early.
+STRONG_TILT = bt.MarkovPotential(3, 2, [
+    0.40109339, 2.11979523, -0.06680475, 1.13574549, 1.60440994,
+    3.17882699, -0.3825874, -1.31709706, -3.11885237,
+])
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="_perron accepts an iterate whose tiny entries still move: both of "
@@ -120,9 +128,7 @@ def test_pressure_strong_tilt_primitive(tilt_reproducer):
 def test_pressure_strong_tilt_variational_bounds():
     # beta * m <= P(beta) <= beta * m + ln A, with m the largest mean of the
     # potential around a cycle of the de Bruijn graph (here A = 3, k = 2)
-    raw = [0.40109339, 2.11979523, -0.06680475, 1.13574549, 1.60440994,
-           3.17882699, -0.3825874, -1.31709706, -3.11885237]
-    phi = bt.normalize_potential(bt.MarkovPotential(3, 2, raw))[0]
+    phi = bt.normalize_potential(STRONG_TILT)[0]
     w = phi.values.reshape(3, 3)
     m = max(
         np.mean([w[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])])
@@ -271,6 +277,134 @@ def test_perron_stall_test():
     assert _CountedMatrix.products <= 2 * pressure_module._STALL_WINDOW + 3
     want_lam, want_v = pressure_module._perron_eig(tie)
     assert lam == want_lam and np.array_equal(v, want_v)
+
+
+def _reference_perron(M):
+    """``_perron`` with the step change max|w - v| taken at every step and
+    the stall window's maximum kept as a running scalar: the bitwise
+    reference for ``_perron``."""
+    _POWER_MAX_ITER = pressure_module._POWER_MAX_ITER
+    _POWER_TOL = pressure_module._POWER_TOL
+    _STALL_WINDOW = pressure_module._STALL_WINDOW
+    _stalled = pressure_module._stalled
+    _perron_eig = pressure_module._perron_eig
+    ReducibilityError = bt.ReducibilityError
+    V = M.shape[0]
+    v = np.full(V, 1.0 / V)
+    lam = 0.0
+    window = previous = 0.0
+    for step in range(1, _POWER_MAX_ITER + 1):
+        w = M @ v
+        s = float(w.sum())
+        if not math.isfinite(s) or s <= 0.0:
+            raise ReducibilityError("transfer matrix iterate lost positivity")
+        w /= s
+        change = float(np.abs(w - v).max())
+        if change < _POWER_TOL and abs(s - lam) < _POWER_TOL * max(1.0, abs(s)):
+            # two polishing steps sharpen the eigenpair to machine accuracy
+            for _ in range(2):
+                w = M @ w
+                s = float(w.sum())
+                w /= s
+            return s, w
+        if change > window:
+            window = change
+        if step % _STALL_WINDOW == 0:
+            if previous > 0.0 and _stalled(previous, window, change, step):
+                break
+            previous, window = window, 0.0
+        v, lam = w, s
+    return _perron_eig(M)
+
+
+def _counted_solve(solve, M):
+    """The bytes of (lambda, v), or the error type, and the product count."""
+    _CountedMatrix.products = 0
+    try:
+        lam, v = solve(np.array(M, dtype=float).view(_CountedMatrix))
+        out = (np.float64(lam).tobytes(), v.dtype.str, v.shape, v.tobytes())
+    except (bt.ReducibilityError, bt.ConvergenceError) as exc:
+        out = type(exc)
+    return out, _CountedMatrix.products
+
+
+def _assert_reference_bits(M):
+    """``_perron`` returns the reference's bits after as many products;
+    returns that count."""
+    got = _counted_solve(pressure_module._perron, M)
+    want = _counted_solve(_reference_perron, M)
+    assert got == want
+    return want[1]
+
+
+def _tilted_matrix(values, A, beta):
+    psi = beta * np.asarray(values, dtype=float)
+    return pressure_module._arc_matrix(np.exp(psi - psi.max()), A)
+
+
+#: a sticky A = 2, k = 2 potential whose tilts converge one step either
+#: side of the first two stall windows' ends
+STICKY = [0.0, -1.0, -1.5, -0.05]
+
+
+@pytest.mark.parametrize(
+    "beta, steps",
+    [(1.262, 63), (1.275, 64), (1.288, 65), (1.918, 127), (1.927, 128), (1.936, 129)],
+)
+def test_perron_reference_bits_at_window_ends(beta, steps):
+    # two polishing products follow the step that converged
+    assert _assert_reference_bits(_tilted_matrix(STICKY, 2, beta)) == steps + 2
+
+
+def test_perron_reference_bits_on_stalls_and_cap():
+    # cyclic near-ties of every size stall at the end of the second window
+    # and go to the eigensolve, which adds max(2, V) products
+    for V in (3, 4, 8):
+        tie = np.roll(np.diag(np.arange(1.0, V + 1)), 1, axis=1) + 1e-6
+        assert _assert_reference_bits(tie) == 128 + V
+    # a looser tie converges after 25 windows
+    loose = np.roll(np.diag([1.0, 2.0, 3.0]), 1, axis=1) + 1e-2
+    assert _assert_reference_bits(loose) == 1644
+    # a gap of 0.5% runs to the 2000-step cap without stalling
+    assert _assert_reference_bits(np.array([[1.0, 0.006], [0.003, 0.995]])) == 2002
+    # either side of the stall threshold: at step 128 the projection reads
+    # 4000.02 steps (stall) and 3999.63 steps (run on to the cap)
+    for shortcut, products in ((0.0037056, 130), (0.003706, 2002)):
+        flip = np.array([[1.0, shortcut], [shortcut / 2, 0.995]])
+        assert _assert_reference_bits(flip) == products
+    # a nilpotent matrix loses positivity on the second step
+    assert _assert_reference_bits(np.array([[0.0, 1.0], [0.0, 0.0]])) == 2
+    # the iterate that the strong-tilt defect stops on is kept, wrong bits
+    # and all, until the stop test itself changes
+    for beta in (100.0, 170.0):
+        phi = bt.normalize_potential(STRONG_TILT)[0]
+        assert _assert_reference_bits(_tilted_matrix(phi.values, 3, beta)) <= 8
+
+
+#: (A, k) with V = A**(k-1) in {1, 2, 3, 4, 8, 9, 16, 27, 32, 64}
+_SHAPES = [
+    (2, 1), (2, 2), (3, 2), (4, 2), (2, 4), (3, 3), (4, 3), (3, 4), (2, 6), (4, 4)
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.floats(-30.0, 200.0),
+    tie=st.one_of(st.none(), st.floats(1e-9, 1e-1)),
+)
+def test_perron_reference_bits_property(shape, seed, beta, tie):
+    A, k = shape
+    rng = np.random.default_rng(seed)
+    if tie is None:
+        # a tilted potential, as ``pressure`` builds it
+        M = _tilted_matrix(rng.normal(size=A**k) * rng.uniform(0.5, 2.0), A, beta)
+    else:
+        # a cyclic permutation with a faint shortcut: near-tied moduli
+        V = A ** (k - 1)
+        M = np.roll(np.diag(rng.uniform(0.5, 2.0, size=V)), 1, axis=1) + tie
+    _assert_reference_bits(M)
 
 
 def test_spectral_json_dict(chain_spectral):
