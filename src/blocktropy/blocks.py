@@ -15,7 +15,7 @@ downstream identities exact instead of exact-up-to-boundary-terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +44,15 @@ class BlockDistribution:
     """A probability distribution on k-blocks, weights in word-code order.
 
     ``weights[c]`` is the mass of the word with code ``c``.  Construction
-    validates nonnegativity and unit mass; if ``stationary`` is set, the
-    two (k-1)-marginals (sum out the last symbol / sum out the first) must
-    agree to within 1e-12.
+    validates nonnegativity and unit mass and measures ``stationary``: True
+    when the two (k-1)-marginals (sum out the last symbol / sum out the
+    first) agree to within 1e-12, so every 1-block law is stationary.
     """
 
     alphabet_size: int
     k: int
     weights: np.ndarray
-    stationary: bool = False
+    stationary: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 2:
@@ -72,12 +72,9 @@ class BlockDistribution:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.stationary and self.k >= 2:
-            defect = stationarity_defect(self)
-            if defect > _BALANCE_TOL:
-                raise ValueError(
-                    f"distribution marked stationary but defect is {defect:.3e}"
-                )
+        object.__setattr__(
+            self, "stationary", stationarity_defect(self) <= _BALANCE_TOL
+        )
 
 
 def window_codes(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
@@ -155,9 +152,7 @@ def empirical_block_measure(
     if x.ndim != 1:
         raise ValueError("expected a single 1-d sample")
     counts = block_counts(x, k, alphabet_size)
-    return BlockDistribution(
-        alphabet_size, k, counts / x.size, stationary=True
-    )
+    return BlockDistribution(alphabet_size, k, counts / x.size)
 
 
 def marginalize(nu: BlockDistribution) -> BlockDistribution:
@@ -169,7 +164,7 @@ def marginalize(nu: BlockDistribution) -> BlockDistribution:
         raise ValueError("cannot marginalize a 1-block distribution")
     A = nu.alphabet_size
     w = nu.weights.reshape(A ** (nu.k - 1), A).sum(axis=1)
-    return BlockDistribution(A, nu.k - 1, w, stationary=nu.stationary)
+    return BlockDistribution(A, nu.k - 1, w)
 
 
 def stationarity_defect(nu: BlockDistribution) -> float:

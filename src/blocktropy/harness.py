@@ -37,6 +37,7 @@ from .entropy import (
 from .pressure import (
     MarkovPotential,
     SpectralData,
+    _is_int,
     _require_normalized,
     equilibrium_blocks,
     normalize_potential,
@@ -81,11 +82,6 @@ _EXACT_STRING_CAP = 1 << 22
 _STAGE_LLN = 1
 _STAGE_SCGF = 2
 _STAGE_VARIANCE = 3
-
-
-def _is_int(value: object) -> bool:
-    """True for Python and numpy integers, False for bool, float and str."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value: object) -> bool:
@@ -195,10 +191,8 @@ _GRID_FIELDS = (
 
 
 def _log_stochastic(rows: np.ndarray) -> np.ndarray:
-    """Log of a row-stochastic matrix of at least 2 columns, with strictly
-    positive entries and rows summing to 1 within 1e-9, renormalized."""
-    if rows.shape[1] < 2:
-        raise ValueError("alphabet must have at least 2 symbols")
+    """Log of a row-stochastic matrix with strictly positive entries and
+    rows summing to 1 within 1e-9, renormalized."""
     if np.any(rows <= 0):
         raise ValueError("probabilities must be strictly positive")
     if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-9:
@@ -211,10 +205,11 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
 
     Forms: {"type": "markov", "transition": rows} for a k=2 chain potential
     ln P[a, b]; {"type": "bernoulli", "p": probs} for k=1; or
-    {"type": "values", "alphabet_size": A, "k": k, "values": [...]}, which
-    must already sum to one row-wise in exponential (within 1e-8) unless
-    "normalize": true folds the correction in here.  A "normalized" key is
-    accepted and changes nothing: normalized values are detected.
+    {"type": "values", "alphabet_size": A, "k": k, "values": [...]} with
+    integer A and k, which must already sum to one row-wise in exponential
+    (within 1e-8) unless the boolean "normalize" is true and folds the
+    correction in here.  A "normalized" key is accepted and changes
+    nothing: normalized values are detected.
     """
     kind = spec.get("type")
 
@@ -227,25 +222,21 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
         rows = np.asarray(entry("transition"), dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("transition must be a square matrix")
-        return MarkovPotential(
-            rows.shape[0], 2, _log_stochastic(rows).ravel(), normalized=True
-        )
+        return MarkovPotential(rows.shape[0], 2, _log_stochastic(rows).ravel())
     if kind == "bernoulli":
         p = np.asarray(entry("p"), dtype=float)
         if p.ndim != 1:
             raise ValueError("p must be a flat list of probabilities")
-        return MarkovPotential(
-            p.size, 1, _log_stochastic(p[None, :])[0], normalized=True
-        )
+        return MarkovPotential(p.size, 1, _log_stochastic(p[None, :])[0])
     if kind == "values":
-        alphabet_size = int(entry("alphabet_size"))
-        k = int(entry("k"))
-        values = np.asarray(entry("values"), dtype=float)
-        raw = MarkovPotential(alphabet_size, k, values)
-        if bool(spec.get("normalize", False)):
+        normalize = spec.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {normalize!r}")
+        raw = MarkovPotential(entry("alphabet_size"), entry("k"), entry("values"))
+        if normalize:
             return normalize_potential(raw)[0]
-        if raw.normalization_defect() <= 1e-8:
-            return MarkovPotential(alphabet_size, k, values, normalized=True)
+        if raw.normalized:
+            return raw
         raise ValueError(
             "potential values are not normalized; set \"normalize\": true "
             "to fold the correction in"
@@ -417,22 +408,15 @@ def _logsumexp(values: np.ndarray) -> float:
     return top + math.log(float(np.exp(values - top).sum()))
 
 
-def exact_finite_scgf(
-    phi: MarkovPotential,
-    n: int,
-    k: int,
-    t: float,
-    functional: str = "conditional",
-    sd: Optional[SpectralData] = None,
-) -> float:
+def exact_finite_scgf(phi: MarkovPotential, n: int, k: int, t: float) -> float:
     """Exhaustive finite-n scaled cumulant generating value.
 
     Enumerates every string of length n, weights it by its exact equilibrium
-    probability, and returns (1/n) ln E[exp(n t F)] for the chosen estimate
-    functional F computed from cyclic k-block counts.  Feasible only while
-    A**n stays at or below 2**22 strings.
+    probability, and returns (1/n) ln E[exp(n t F)] for the conditional
+    block entropy F computed from cyclic k-block counts.  Feasible only
+    while A**n stays at or below 2**22 strings.
     """
-    return _exact_finite_scgf_grid(phi, n, k, (t,), functional, sd)[0]
+    return _exact_finite_scgf_grid(phi, n, k, (t,), "conditional", None)[0]
 
 
 def _exact_finite_scgf_grid(
@@ -440,10 +424,12 @@ def _exact_finite_scgf_grid(
     n: int,
     k: int,
     t_grid: Sequence[float],
-    functional: str = "conditional",
-    sd: Optional[SpectralData] = None,
+    functional: str,
+    sd: Optional[SpectralData],
 ) -> list[float]:
-    """``exact_finite_scgf`` at every t of a grid from one enumeration.
+    """``exact_finite_scgf`` at every t of a grid from one enumeration, for
+    any estimate functional, on ``phi``'s spectrum ``sd`` (solved here when
+    None).
 
     The strings, their counts, functionals and masses do not depend on t, so
     each chunk is enumerated once and summed once per t.

@@ -20,7 +20,8 @@ without changing its equilibrium state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,13 +58,19 @@ _POWER_MAX_ITER = 2_000
 #: eigensolve at once, which is where the cap would send it anyway.
 _STALL_WINDOW = 64
 
-#: Normalization defect accepted when a potential claims to be normalized.
+#: Normalization defect below which a potential counts as normalized.
 _NORMALIZED_TOL = 1e-8
+
+
+def _is_int(value: object) -> bool:
+    """True for Python and numpy integers, False for bool, float and str."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ConvergenceError(RuntimeError):
     """A spectral solve failed: the dense eigensolve did not converge, the
-    equilibrium kernel underflowed, or the stationary solve was singular."""
+    equilibrium kernel underflowed, the stationary solve was singular or
+    inaccurate, or a normalization lost its rows to rounding."""
 
 
 class ReducibilityError(ValueError):
@@ -75,16 +82,26 @@ class ReducibilityError(ValueError):
 class MarkovPotential:
     """A finite potential on k-words; ``values[c]`` for word code ``c``.
 
-    ``normalized`` asserts sum_b exp(values[u b]) = 1 at every (k-1)-word u,
-    which makes exp(values) a transition kernel in its own right.
+    The alphabet size must be an integer >= 2 and k an integer >= 1.
+    Construction measures ``normalized``: True when sum_b exp(values[u b])
+    is 1 within 1e-8 at every (k-1)-word u, which makes exp(values) a
+    transition kernel in its own right.
     """
 
     alphabet_size: int
     k: int
     values: np.ndarray
-    normalized: bool = False
+    normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        if not _is_int(self.alphabet_size) or self.alphabet_size < 2:
+            raise ValueError(
+                f"alphabet size must be an integer >= 2, got {self.alphabet_size!r}"
+            )
+        if not _is_int(self.k) or self.k < 1:
+            raise ValueError(
+                f"potential order k must be an integer >= 1, got {self.k!r}"
+            )
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.alphabet_size**self.k,):
             raise ValueError(
@@ -94,17 +111,16 @@ class MarkovPotential:
             raise ValueError("potential values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if self.normalized:
-            defect = self.normalization_defect()
-            if defect > _NORMALIZED_TOL:
-                raise ValueError(
-                    f"potential marked normalized but defect is {defect:.3e}"
-                )
+        object.__setattr__(
+            self, "normalized", self.normalization_defect() <= _NORMALIZED_TOL
+        )
 
     def normalization_defect(self) -> float:
-        """Max over (k-1)-words u of |sum_b exp(phi(u b)) - 1|."""
+        """Max over (k-1)-words u of |sum_b exp(phi(u b)) - 1|; inf where
+        exp overflows."""
         A = self.alphabet_size
-        rows = np.exp(self.values).reshape(A ** (self.k - 1), A).sum(axis=1)
+        with np.errstate(over="ignore"):
+            rows = np.exp(self.values).reshape(A ** (self.k - 1), A).sum(axis=1)
         return float(np.max(np.abs(rows - 1.0)))
 
 
@@ -145,23 +161,6 @@ def _arc_matrix(weights: np.ndarray, A: int) -> np.ndarray:
     arcs = np.arange(weights.size)
     np.add.at(M, (arcs // A, arcs % V), weights)
     return M
-
-
-def _scaled_power(
-    row: np.ndarray, M: np.ndarray, steps: int
-) -> tuple[np.ndarray, float]:
-    """``row @ M**steps``, rescaled to sum one after every step.
-
-    Returns the rescaled row and the log of the product of the sums it was
-    divided by, so row * exp(log_scale) is the unscaled product.
-    """
-    log_scale = 0.0
-    for _ in range(steps):
-        row = row @ M
-        total = float(row.sum())
-        row /= total
-        log_scale += math.log(total)
-    return row, log_scale
 
 
 def _perron_eig(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -264,7 +263,9 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
 
     The potential is shifted by max(beta*phi) before exponentiation, so
     large |beta| stays in floating-point range; the shift adds back into
-    the reported pressure exactly.
+    the reported pressure exactly.  The equilibrium law's ``stationary`` is
+    measured like any other block law's; a law from an inaccurate
+    stationary solve raises ConvergenceError.
     """
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
@@ -302,21 +303,16 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
     q = np.maximum(q, 0.0)
     q /= q.sum()
 
-    rho = BlockDistribution(
-        A, k, (q[:, None] * kernel).ravel(), stationary=True
-    )
+    rho = BlockDistribution(A, k, (q[:, None] * kernel).ravel())
+    if not rho.stationary:
+        raise ConvergenceError(
+            "equilibrium law is not stationary; the stationary solve lost "
+            "accuracy"
+        )
     entropy = conditional_block_entropy(rho)
     mean_phi = float(rho.weights @ phi.values)
     return SpectralData(
-        potential=phi,
-        beta=beta,
-        pressure=math.log(lam) + shift,
-        right_vector=r,
-        kernel=kernel,
-        vertex_stationary=q,
-        equilibrium=rho,
-        entropy=entropy,
-        potential_mean=mean_phi,
+        phi, beta, math.log(lam) + shift, r, kernel, q, rho, entropy, mean_phi
     )
 
 
@@ -329,7 +325,9 @@ def normalize_potential(phi: MarkovPotential) -> tuple[MarkovPotential, float]:
     in exact arithmetic, so the rows sum to one to rounding even where the
     Perron vector carries relative error.  Already-normalized potentials
     come back unchanged to rounding (the Perron vector is constant and every
-    row's log-sum-exp is zero).
+    row's log-sum-exp is zero).  The result's ``normalized`` is measured;
+    values so large that the row log-sum-exp rounds away its correction
+    leave rows that do not sum to one, and raise ConvergenceError.
     """
     sd = pressure(phi, 1.0)
     A, k = phi.alphabet_size, phi.k
@@ -340,7 +338,13 @@ def normalize_potential(phi: MarkovPotential) -> tuple[MarkovPotential, float]:
     top = rows.max(axis=1, keepdims=True)
     log_sums = top + np.log(np.exp(rows - top).sum(axis=1, keepdims=True))
     values = (rows - log_sums).ravel()
-    return MarkovPotential(A, k, values, normalized=True), sd.pressure
+    phi_n = MarkovPotential(A, k, values)
+    if not phi_n.normalized:
+        raise ConvergenceError(
+            "normalized rows do not sum to one; the row log-sum-exp rounds "
+            "away at this potential's magnitude"
+        )
+    return phi_n, sd.pressure
 
 
 def relative_entropy_rate(nu: BlockDistribution, phi: MarkovPotential) -> float:
@@ -386,7 +390,7 @@ def markov_blocks(nu: BlockDistribution, k: int) -> BlockDistribution:
     for m in range(j, k):
         states = np.arange(A**m, dtype=np.int64) % S
         cur = (cur[:, None] * kern[states]).ravel()
-    return BlockDistribution(A, k, cur, stationary=True)
+    return BlockDistribution(A, k, cur)
 
 
 def equilibrium_blocks(sd: SpectralData, k: int) -> BlockDistribution:
@@ -414,7 +418,13 @@ def direct_pressure_estimate(phi: MarkovPotential, beta: float, n: int) -> float
     M = _arc_matrix(np.exp(psi - shift), A)
     suffix = (np.arange(A**k) % V).reshape(V, A)
 
-    f, log_scale = _scaled_power(np.ones(V), M, n - k + 1)
+    # f = 1 @ M**(n-k+1), rescaled to sum one after every step
+    f, log_scale = np.ones(V), 0.0
+    for _ in range(n - k + 1):
+        f = f @ M
+        total = float(f.sum())
+        f /= total
+        log_scale += math.log(total)
 
     tail = np.zeros(V)
     for _ in range(k - 1):

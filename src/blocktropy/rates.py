@@ -39,7 +39,6 @@ from .pressure import (
     _arc_matrix,
     _perron,
     _require_normalized,
-    _scaled_power,
     pressure,
 )
 
@@ -127,29 +126,19 @@ def relative_scgf(phi: MarkovPotential, t: float) -> float:
     return (1.0 - t) * extreme_mean(phi, "min")
 
 
-def renyi_scgf(sd: SpectralData, t: float, n: int | None = None) -> float:
+def renyi_scgf(sd: SpectralData, t: float) -> float:
     """Renyi-sum route to the entropy SCGF, from the equilibrium kernel.
 
-    Computes (t+1)/n * ln sum over n-strings of rho([a_1..a_n])**(1/(t+1))
-    through the powered-weight kernel matrix B[u, v] = Q(b|u)**s; with
-    ``n=None`` returns the n -> infinity limit (t+1) ln lambda(B).  Agrees
-    with entropy_scgf in the limit, with an O(1/n) finite-n gap.
+    The n -> infinity limit of (t+1)/n * ln sum over n-strings of
+    rho([a_1..a_n])**(1/(t+1)), which is (t+1) ln lambda(B) for the
+    powered-weight kernel matrix B[u, v] = Q(b|u)**(1/(t+1)).  Agrees with
+    entropy_scgf.
     """
     if not -1.0 < t < math.inf:
         raise ValueError(f"the Renyi route needs a finite t > -1, got {t}")
-    s = 1.0 / (t + 1.0)
-    A, k = sd.potential.alphabet_size, sd.potential.k
-    B = _arc_matrix((sd.kernel**s).ravel(), A)
-    if n is None:
-        lam, _ = _perron(B)
-        return (t + 1.0) * math.log(lam)
-    if n < k:
-        raise ValueError("need n >= k")
-    with np.errstate(divide="ignore"):
-        row = np.exp(s * np.log(np.maximum(sd.vertex_stationary, 0.0)))
-    row = np.where(sd.vertex_stationary > 0, row, 0.0)
-    row, log_scale = _scaled_power(row, B, n - k + 1)
-    return (t + 1.0) * (math.log(float(row.sum())) + log_scale) / n
+    A = sd.potential.alphabet_size
+    B = _arc_matrix((sd.kernel ** (1.0 / (t + 1.0))).ravel(), A)
+    return (t + 1.0) * math.log(_perron(B)[0])
 
 
 def zero_temperature_entropy(phi: MarkovPotential) -> tuple[float, bool]:

@@ -180,10 +180,16 @@ def write_path_file(
     path: str, x: np.ndarray, alphabet_size: int, seed: int
 ) -> None:
     """Write a sample to a flat binary file: magic, |A|, n, seed header and
-    one byte per symbol."""
+    one byte per symbol.  Refuses what :func:`read_path_file` would refuse
+    or the header cannot hold: symbols outside [0, |A|) and seeds outside
+    [0, 2**64)."""
     if alphabet_size > 255:
         raise ValueError("path files support alphabets up to 255 symbols")
     x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= alphabet_size):
+        raise ValueError("sample contains symbols outside the alphabet")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
     with open(path, "wb") as fh:
         fh.write(_PATH_MAGIC)
         fh.write(struct.pack("<QQQ", alphabet_size, x.size, seed))

@@ -101,9 +101,7 @@ class CountTable:
         return self._degrees(self.counts)[0]
 
     def to_distribution(self) -> BlockDistribution:
-        return BlockDistribution(
-            self.alphabet_size, self.k, self.counts / self.n, stationary=True
-        )
+        return BlockDistribution(self.alphabet_size, self.k, self.counts / self.n)
 
 
 def components(table: CountTable) -> list[list[int]]:
@@ -222,9 +220,7 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
         if len(fresh) == 64:
             types, fresh = _distinct_rows(np.vstack([types, *fresh]))[0], []
     types = _distinct_rows(np.vstack([types, *fresh]))[0]
-    return [
-        BlockDistribution(alphabet_size, k, row / n, stationary=True) for row in types
-    ]
+    return [BlockDistribution(alphabet_size, k, row / n) for row in types]
 
 
 def type_count_bound(n: int, k: int, alphabet_size: int) -> float:
@@ -583,7 +579,7 @@ class CycleMeasure:
     def distribution(self) -> BlockDistribution:
         w = np.zeros(self.alphabet_size**self.k)
         w[list(self.arcs)] = 1.0 / len(self.arcs)
-        return BlockDistribution(self.alphabet_size, self.k, w, stationary=True)
+        return BlockDistribution(self.alphabet_size, self.k, w)
 
 
 def cycle_decompose(nu: BlockDistribution) -> list[tuple[float, CycleMeasure]]:

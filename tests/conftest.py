@@ -43,12 +43,10 @@ def _random_stationary(
     """Random full-support stationary k-block law via a Dirichlet kernel."""
     if k == 1:
         w = rng.dirichlet(np.ones(alphabet_size))
-        return bt.BlockDistribution(alphabet_size, 1, w, stationary=True)
+        return bt.BlockDistribution(alphabet_size, 1, w)
     vertex_count = alphabet_size ** (k - 1)
     kernel = rng.dirichlet(np.ones(alphabet_size), size=vertex_count)
-    phi = bt.MarkovPotential(
-        alphabet_size, k, np.log(kernel).ravel(), normalized=True
-    )
+    phi = bt.MarkovPotential(alphabet_size, k, np.log(kernel).ravel())
     return bt.equilibrium_blocks(bt.pressure(phi, 1.0), k)
 
 
@@ -129,7 +127,7 @@ def fixed_k_rate_upper(
         laws = np.column_stack([p0 * (1 - a), p0 * a, p1 * b, p1 * (1 - b)])
     best = math.inf
     for w in laws:
-        nu = bt.BlockDistribution(2, k_fixed, w, stationary=True)
+        nu = bt.BlockDistribution(2, k_fixed, w)
         if abs(bt.measure_functional(functional, nu, rho_ref) - u) > tol:
             continue
         best = min(best, bt.relative_entropy_rate(nu, phi))

@@ -102,8 +102,8 @@ def test_criterion_03_entropy_continuity_certificate():
             A,
             k,
             (1.0 - s) * np.asarray(nu.weights) + s * np.asarray(other.weights),
-            stationary=True,
         )
+        assert mixed.stationary
         delta = bt.tv_distance(nu, mixed)
         if delta == 0.0:
             continue

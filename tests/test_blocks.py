@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -97,11 +98,21 @@ def test_marginalize_right_hand_value():
 
 
 def test_stationarity_flag_validation():
+    # the flag is measured, never declared
     w = np.array([0.7, 0.2, 0.0, 0.1])  # marginals (0.9,0.1) vs (0.7,0.3)
-    with pytest.raises(ValueError):
-        bt.BlockDistribution(2, 2, w, stationary=True)
-    nu = bt.BlockDistribution(2, 2, w)  # fine without the flag
-    assert bt.stationarity_defect(nu) > 0.1
+    nu = bt.BlockDistribution(2, 2, w)
+    assert bt.stationarity_defect(nu) > 0.1 and not nu.stationary
+    # a lopsided law whose two marginals agree exactly is stationary
+    lopsided = bt.BlockDistribution(2, 2, np.array([0.7, 0.1, 0.1, 0.1]))
+    assert bt.stationarity_defect(lopsided) == 0.0 and lopsided.stationary
+    # every 1-block law is
+    assert bt.BlockDistribution(2, 1, np.array([0.9, 0.1])).stationary
+    # a defect just under the 1e-12 tolerance passes, twice that does not
+    edge = np.array([0.25, 0.25 + 1e-12, 0.25, 0.25 - 1e-12])
+    assert bt.BlockDistribution(2, 2, edge).stationary
+    assert not bt.BlockDistribution(2, 2, edge + [0, 1e-12, 0, -1e-12]).stationary
+    init = [f.name for f in dataclasses.fields(bt.BlockDistribution) if f.init]
+    assert init == ["alphabet_size", "k", "weights"]
 
 
 def test_distribution_validation():

@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blocktropy as bt
@@ -131,6 +132,41 @@ def test_exit_code_malformed_config(tmp_path, capsys, entries):
 def test_exit_code_numeric_failure(config_file, capsys):
     assert main(["pressure", "--config", config_file, "--beta", "10000"]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"k": 0, "values": [0.0]},
+        {"alphabet_size": None},
+        {"alphabet_size": 2.7},
+        {"values": [0.0, 0.0], "normalize": "no"},
+    ],
+)
+def test_values_potential_entry_types_exit_1(tmp_path, capsys, entries):
+    # integer alphabet_size and k, boolean normalize; nothing is coerced
+    fair = {"type": "values", "alphabet_size": 2, "k": 1, "values": [-math.log(2)] * 2}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"potential": {**fair, **entries}}))
+    assert main(["pressure", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_failed_property_checks_exit_2(config_file, tmp_path, capsys, monkeypatch):
+    # normalize_potential: the row log-sum-exp rounds away at 1e17
+    huge = tmp_path / "huge.json"
+    potential = {"type": "values", "alphabet_size": 2, "k": 1, "values": [1e17, 1e17]}
+    huge.write_text(json.dumps({"potential": {**potential, "normalize": True}}))
+    assert main(["pressure", "--config", str(huge)]) == 2
+    assert "do not sum to one" in capsys.readouterr().err
+    # pressure: a stationary solve that returns the wrong vertex law
+    solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda lhs, rhs: solve(lhs, rhs) * [1.0, 1.01]
+    )
+    assert main(["pressure", "--config", config_file]) == 2
+    assert "not stationary" in capsys.readouterr().err
 
 
 def test_exit_code_cli_usage_error(config_file, capsys):

@@ -18,9 +18,7 @@ def _hand_entropy(weights) -> float:
 def test_block_entropy_uniform_exact():
     for A in (2, 3):
         for k in (1, 2, 3):
-            nu = bt.BlockDistribution(
-                A, k, np.full(A**k, 1.0 / A**k), stationary=True
-            )
+            nu = bt.BlockDistribution(A, k, np.full(A**k, 1.0 / A**k))
             assert k * bt.measure_functional("average", nu) == pytest.approx(
                 k * math.log(A), abs=1e-12
             )
@@ -46,7 +44,7 @@ def test_conditional_entropy_iid_blocks():
                 for c in range(2**k)
             ]
         )
-        nu = bt.BlockDistribution(2, k, w, stationary=True)
+        nu = bt.BlockDistribution(2, k, w)
         assert bt.conditional_block_entropy(nu) == pytest.approx(
             _hand_entropy([p, 1 - p]), abs=1e-12
         )
@@ -127,7 +125,7 @@ def _per_distribution_functionals(counts, n, A, k, rho):
             return math.inf
         return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
 
-    nu = bt.BlockDistribution(A, k, counts / n, stationary=True)
+    nu = bt.BlockDistribution(A, k, counts / n)
     hk = entropy(nu.weights)
     if k == 1:
         values = (hk, hk)

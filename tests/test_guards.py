@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ import blocktropy as bt
 from conftest import CHAIN_CONFIG
 
 CHAIN = bt.potential_from_config(CHAIN_CONFIG)
-UNIFORM_1 = bt.BlockDistribution(2, 1, np.full(2, 0.5), stationary=True)
-UNIFORM_2 = bt.BlockDistribution(2, 2, np.full(4, 0.25), stationary=True)
+UNIFORM_1 = bt.BlockDistribution(2, 1, np.full(2, 0.5))
+UNIFORM_2 = bt.BlockDistribution(2, 2, np.full(4, 0.25))
 #: two 1-marginals (0.9, 0.1) and (0.7, 0.3): not the law of a stationary process
 SKEWED = bt.BlockDistribution(2, 2, np.array([0.7, 0.2, 0.0, 0.1]))
+#: a normalized values-form potential config, 1-blocks of a fair coin
+FAIR_VALUES = {
+    "type": "values", "alphabet_size": 2, "k": 1, "values": [-math.log(2)] * 2
+}
 #: a rate curve whose grid holds u = 0, where an infinite slope gives inf * 0
 CURVE_AT_ZERO = bt.RateCurve("entropy_rate", np.array([0.0, 0.1]), np.array([0.0, 0.5]))
 
@@ -162,6 +167,48 @@ GUARDS = {
     ),
     "cycle-decompose-stationary": (
         lambda: bt.cycle_decompose(SKEWED), ValueError, "stationary"
+    ),
+    "potential-alphabet": (
+        lambda: bt.MarkovPotential(1, 2, [0.0]), ValueError, "integer >= 2"
+    ),
+    "potential-alphabet-float": (
+        lambda: bt.MarkovPotential(2.0, 1, [0.0, 0.0]), ValueError, "integer >= 2"
+    ),
+    "potential-order": (
+        lambda: bt.MarkovPotential(2, 0, [0.0]), ValueError, "integer >= 1"
+    ),
+    "potential-order-bool": (
+        lambda: bt.MarkovPotential(2, True, [0.0, 0.0]), ValueError, "integer >= 1"
+    ),
+    "config-values-alphabet-null": (
+        lambda: bt.potential_from_config({**FAIR_VALUES, "alphabet_size": None}),
+        ValueError,
+        "integer >= 2",
+    ),
+    "config-values-normalize-string": (
+        lambda: bt.potential_from_config({**FAIR_VALUES, "normalize": "false"}),
+        ValueError,
+        "normalize must be true or false",
+    ),
+    "path-file-symbol": (
+        lambda: bt.write_path_file(os.devnull, np.array([0, 5, 1]), 2, 1),
+        ValueError,
+        "outside the alphabet",
+    ),
+    "path-file-negative-symbol": (
+        lambda: bt.write_path_file(os.devnull, np.array([0, -1]), 2, 1),
+        ValueError,
+        "outside the alphabet",
+    ),
+    "path-file-seed-negative": (
+        lambda: bt.write_path_file(os.devnull, np.array([0, 1]), 2, -1),
+        ValueError,
+        "64 bits",
+    ),
+    "path-file-seed-wide": (
+        lambda: bt.write_path_file(os.devnull, np.array([0, 1]), 2, 1 << 64),
+        ValueError,
+        "64 bits",
     ),
 }
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blocktropy as bt
-from blocktropy.harness import mc_scgf
+from blocktropy.harness import _exact_finite_scgf_grid, mc_scgf
 
 from conftest import CHAIN_CONFIG
 
@@ -174,9 +174,9 @@ def test_exact_finite_scgf_matches_oracle(chain_potential, chain_spectral):
         (5, 2, 1.0, "relative_conditional"),
         (5, 2, 0.8, "relative_average"),
     ]:
-        assert bt.exact_finite_scgf(
-            chain_potential, n, k, t, functional, chain_spectral
-        ) == pytest.approx(
+        assert _exact_finite_scgf_grid(
+            chain_potential, n, k, (t,), functional, chain_spectral
+        )[0] == pytest.approx(
             _exact_scgf_oracle(chain_potential, chain_spectral, n, k, t, functional),
             abs=1e-12,
         )
@@ -196,7 +196,7 @@ def test_exact_finite_scgf_guards(chain_potential):
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(phi_a3, 10**9, 2, 0.5)
     with pytest.raises(ValueError):
-        bt.exact_finite_scgf(chain_potential, 6, 2, 0.5, "entropy")
+        _exact_finite_scgf_grid(chain_potential, 6, 2, (0.5,), "entropy", None)
     raw = bt.MarkovPotential(2, 2, np.array([0.1, 0.0, -0.3, 0.2]))
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(raw, 6, 2, 0.5)
@@ -213,7 +213,7 @@ def test_exact_finite_scgf_relative_needs_full_support():
         }
     )
     with pytest.raises(ValueError, match="full-support"):
-        bt.exact_finite_scgf(phi, 6, 2, 0.5, "relative_conditional")
+        _exact_finite_scgf_grid(phi, 6, 2, (0.5,), "relative_conditional", None)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -239,9 +239,7 @@ def test_mc_scgf_basics(chain_spectral):
     assert out.stderr == pytest.approx(0.0, abs=1e-12)
     assert not out.high_variance
     # a mild t on short paths stays near the exact finite-n value
-    exact = bt.exact_finite_scgf(
-        chain_spectral.potential, 12, 2, 0.3, "conditional", chain_spectral
-    )
+    exact = bt.exact_finite_scgf(chain_spectral.potential, 12, 2, 0.3)
     out2 = mc_scgf(chain_spectral, 12, 2, 0.3, "conditional", 4000, seed=4)
     assert out2.estimate == pytest.approx(exact, abs=6 * max(out2.stderr, 1e-4))
     # relative functionals score paths against the equilibrium k-blocks

@@ -5,12 +5,21 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import math
 import re
 from pathlib import Path
 
 import blocktropy as bt
 
 LAYERS = ("blocks", "entropy", "harness", "pressure", "rates", "simulate", "typegraphs")
+ROOT = Path(__file__).resolve().parent.parent
+#: the package, the benchmark, the acceptance tests and their fixtures
+CALLERS = [
+    *sorted((ROOT / "src" / "blocktropy").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "conftest.py",
+]
 
 
 def test_all_lists_every_layer_name():
@@ -50,15 +59,8 @@ def test_every_public_name_has_a_caller():
     # a public name must be used by the package, the benchmark, the
     # acceptance tests or their fixtures, or be documented in the README;
     # a name only the unit tests reach is dead surface
-    root = Path(__file__).resolve().parent.parent
-    callers = [
-        *sorted((root / "src" / "blocktropy").glob("*.py")),
-        *sorted((root / "perfbench").glob("*.py")),
-        root / "tests" / "test_acceptance.py",
-        root / "tests" / "conftest.py",
-    ]
-    used = set().union(*map(_referenced_names, callers))
-    readme = (root / "README.md").read_text()
+    used = set().union(*map(_referenced_names, CALLERS))
+    readme = (ROOT / "README.md").read_text()
     orphans = [
         f"blocktropy.{layer}.{name}"
         for layer in LAYERS
@@ -66,3 +68,50 @@ def test_every_public_name_has_a_caller():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert not orphans, f"public names with no caller: {orphans}"
+
+
+def _passed_arguments(paths: list[Path]) -> dict[str, list[tuple[float, set[str]]]]:
+    """For every callee name in the files, each call's number of positional
+    arguments and its keywords; a ``*args`` counts as every position and a
+    ``**kwargs`` as every keyword (the name ``**``).  ``ops.run(label, fn,
+    *args)`` of the benchmark counts as a call of ``fn`` with ``args``."""
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
+
+    def record(callee: ast.expr, args: list[ast.expr], keywords: set[str]) -> None:
+        name = getattr(callee, "id", getattr(callee, "attr", None))
+        starred = any(isinstance(arg, ast.Starred) for arg in args)
+        count = math.inf if starred else len(args)
+        calls.setdefault(name, []).append((count, keywords))
+
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            record(node.func, node.args, {kw.arg or "**" for kw in node.keywords})
+            if getattr(node.func, "attr", None) == "run" and len(node.args) >= 2:
+                record(node.args[1], node.args[2:], set())
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    # an optional parameter of a public function must be set by some caller
+    # outside the unit tests; one that none sets is an option nobody uses
+    calls = _passed_arguments(CALLERS)
+    unset = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"blocktropy.{layer}")
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            for index, param in enumerate(params):
+                if param.default is param.empty:
+                    continue
+                positional = param.kind is param.POSITIONAL_OR_KEYWORD
+                if not any(
+                    (positional and count > index) or {param.name, "**"} & keywords
+                    for count, keywords in calls.get(name, [])
+                ):
+                    unset.append(f"{name}.{param.name}")
+    assert not unset, f"defaulted parameters no caller passes: {unset}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -44,7 +45,7 @@ def test_transfer_matrix_hand_values(chain_potential):
     M2 = _transfer_matrix(chain_potential, 2.0)
     np.testing.assert_allclose(M2, [[0.81, 0.01], [0.04, 0.64]], atol=1e-15)
     # depth-one potential collapses to a single state
-    bern = bt.MarkovPotential(2, 1, np.log([0.3, 0.7]), normalized=True)
+    bern = bt.MarkovPotential(2, 1, np.log([0.3, 0.7]))
     np.testing.assert_allclose(_transfer_matrix(bern, 1.0), [[1.0]], atol=1e-15)
 
 
@@ -152,7 +153,7 @@ def test_markov_blocks_extension(chain_spectral):
     # k below the input depth marginalizes
     assert bt.tv_distance(bt.markov_blocks(rho3, 2), rho2) < 1e-12
     # i.i.d. extension of a 1-block law is the product law
-    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]), stationary=True)
+    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     np.testing.assert_allclose(
         bt.markov_blocks(unif, 3).weights, np.full(8, 0.125), atol=1e-15
     )
@@ -163,7 +164,7 @@ def test_relative_entropy_rate_chain(chain_potential, chain_spectral):
     assert bt.relative_entropy_rate(rho, chain_potential) == pytest.approx(
         0.0, abs=1e-12
     )
-    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]), stationary=True)
+    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     value = bt.relative_entropy_rate(unif, chain_potential)
     hand = -math.log(0.9 * 0.1 * 0.2 * 0.8) / 4 - math.log(2.0)
     assert value == pytest.approx(hand, abs=1e-14)
@@ -176,12 +177,12 @@ def test_relative_entropy_rate_properties(chain_potential, make_stationary):
         nu = make_stationary(rng, 2, int(rng.integers(1, 4)))
         assert bt.relative_entropy_rate(nu, chain_potential) >= -1e-12
     raw = bt.MarkovPotential(2, 2, np.array([0.1, 0.0, -0.3, 0.2]))
-    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]), stationary=True)
+    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         bt.relative_entropy_rate(unif, raw)  # not normalized
     with pytest.raises(ValueError):
         bt.relative_entropy_rate(
-            bt.BlockDistribution(3, 1, np.full(3, 1 / 3), stationary=True),
+            bt.BlockDistribution(3, 1, np.full(3, 1 / 3)),
             chain_potential,
         )
 
@@ -422,5 +423,33 @@ def test_markov_potential_validation():
         bt.MarkovPotential(2, 1, np.array([0.0, np.inf]))
     with pytest.raises(ValueError):
         bt.MarkovPotential(2, 1, np.array([0.0, np.nan]))
-    with pytest.raises(ValueError):
-        bt.MarkovPotential(2, 2, np.zeros(4), normalized=True)  # rows sum to 2
+    # normalized is measured: rows summing to 2 are not, exact rows are
+    assert not bt.MarkovPotential(2, 2, np.zeros(4)).normalized
+    exact = bt.MarkovPotential(2, 2, np.log([0.9, 0.1, 0.2, 0.8]))
+    assert exact.normalization_defect() == 0.0 and exact.normalized
+    assert math.isfinite(bt.entropy_scgf(exact, 1.0))
+    # an exp that overflows is an infinite defect, without a warning
+    huge = bt.MarkovPotential(2, 1, np.array([1e3, 0.0]))
+    assert huge.normalization_defect() == math.inf and not huge.normalized
+    init = [f.name for f in dataclasses.fields(bt.MarkovPotential) if f.init]
+    assert init == ["alphabet_size", "k", "values"]
+
+
+def test_pressure_refuses_a_non_stationary_equilibrium(chain_potential, monkeypatch):
+    # a stationary solve that returns the wrong vertex law
+    solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda lhs, rhs: solve(lhs, rhs) * [1.0, 1.01]
+    )
+    with pytest.raises(bt.ConvergenceError, match="not stationary"):
+        bt.pressure(chain_potential, 1.0)
+
+
+def test_normalize_refuses_rows_that_do_not_sum_to_one():
+    # at 1e17 the row log-sum-exp 1e17 + ln 2 rounds to 1e17, so the
+    # conjugated rows come out as (0, 0) and sum to 2
+    with pytest.raises(bt.ConvergenceError, match="do not sum to one"):
+        bt.normalize_potential(bt.MarkovPotential(2, 1, np.array([1e17, 1e17])))
+    # a large but representable offset still normalizes
+    raw = bt.MarkovPotential(2, 1, np.array([1e3, 1e3 + 1]))
+    assert bt.normalize_potential(raw)[0].normalized

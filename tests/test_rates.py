@@ -85,21 +85,14 @@ def test_renyi_scgf_routes(chain_potential, chain_spectral):
         assert bt.renyi_scgf(chain_spectral, t) == pytest.approx(
             bt.entropy_scgf(chain_potential, t), abs=1e-9
         )
-    # finite-n values approach the limit with shrinking gap
-    limit = bt.renyi_scgf(chain_spectral, 1.0)
-    gaps = [abs(bt.renyi_scgf(chain_spectral, 1.0, n) - limit) for n in (16, 32, 64)]
-    assert gaps[0] > gaps[1] > gaps[2]
     with pytest.raises(ValueError):
         bt.renyi_scgf(chain_spectral, -1.0)
-    with pytest.raises(ValueError):
-        bt.renyi_scgf(chain_spectral, 1.0, n=1)
 
 
-@pytest.mark.parametrize("n", [None, 20])
 @pytest.mark.parametrize("t", [math.nan, math.inf])
-def test_renyi_scgf_rejects_nan_and_inf(chain_spectral, t, n):
+def test_renyi_scgf_rejects_nan_and_inf(chain_spectral, t):
     with pytest.raises(ValueError):
-        bt.renyi_scgf(chain_spectral, t, n)
+        bt.renyi_scgf(chain_spectral, t)
 
 
 def test_information_scgf_chain(chain_potential):
@@ -132,7 +125,7 @@ def test_entropy_rate_function_chain(chain_potential, chain_spectral):
     )
     # at u = ln A the minimizer is the uniform measure: cross-check against
     # the independent relative-entropy-rate computation
-    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]), stationary=True)
+    unif = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     assert bt.entropy_rate_function(chain_potential, math.log(2.0)) == pytest.approx(
         bt.relative_entropy_rate(unif, chain_potential), abs=1e-6
     )
@@ -207,7 +200,7 @@ def test_asymptotic_variance_chain(chain_potential):
     assert v_info == pytest.approx(0.4985408392082033, abs=1e-12)
     assert v_info == v_entr
     # a constant potential has no fluctuations at all
-    flat = bt.MarkovPotential(2, 1, np.log([0.5, 0.5]), normalized=True)
+    flat = bt.MarkovPotential(2, 1, np.log([0.5, 0.5]))
     assert bt.asymptotic_variance(flat) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -219,7 +212,7 @@ def test_asymptotic_variance_rejects_unknown_route(chain_potential):
 def test_zero_temperature_entropy(chain_potential):
     h_inf, converged = bt.zero_temperature_entropy(chain_potential)
     assert converged and abs(h_inf) < 1e-6
-    flat = bt.MarkovPotential(2, 1, np.log([0.5, 0.5]), normalized=True)
+    flat = bt.MarkovPotential(2, 1, np.log([0.5, 0.5]))
     h_flat, conv_flat = bt.zero_temperature_entropy(flat)
     assert conv_flat and h_flat == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -271,7 +264,7 @@ def test_fixed_k_rate_upper(chain_potential):
     assert up2 <= true_rate + 0.02
     with pytest.raises(ValueError):
         fixed_k_rate_upper(chain_potential, 3, "conditional", u)
-    trip = bt.MarkovPotential(3, 1, np.log(np.full(3, 1 / 3)), normalized=True)
+    trip = bt.MarkovPotential(3, 1, np.log(np.full(3, 1 / 3)))
     with pytest.raises(ValueError):
         fixed_k_rate_upper(trip, 1, "conditional", 0.5)
 

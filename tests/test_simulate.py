@@ -110,7 +110,7 @@ def test_stationary_start_draws_both_symbols(chain_spectral):
 
 
 def test_depth_one_sampling():
-    phi = bt.MarkovPotential(2, 1, np.log([0.25, 0.75]), normalized=True)
+    phi = bt.MarkovPotential(2, 1, np.log([0.25, 0.75]))
     sd = bt.pressure(phi, 1.0)
     x = bt.sample_paths(sd, 20000, seed=3)[0]
     assert np.mean(x) == pytest.approx(0.75, abs=0.02)

@@ -342,11 +342,11 @@ def test_components_ordering():
 
 def test_round_to_type_worked_examples(chain_spectral):
     # already a type: returned unchanged
-    nu = bt.BlockDistribution(2, 2, np.array([0, 0.5, 0.5, 0]), stationary=True)
+    nu = bt.BlockDistribution(2, 2, np.array([0, 0.5, 0.5, 0]))
     out = bt.round_to_type(nu, 4)
     assert bt.tv_distance(out, nu) <= 1e-12
     # (1/3, 2/3) at n=4 -> (1/4, 3/4), tv 1/6
-    nu1 = bt.BlockDistribution(2, 1, np.array([1 / 3, 2 / 3]), stationary=True)
+    nu1 = bt.BlockDistribution(2, 1, np.array([1 / 3, 2 / 3]))
     out1 = bt.round_to_type(nu1, 4)
     np.testing.assert_allclose(out1.weights, [0.25, 0.75], atol=1e-12)
     assert bt.tv_distance(out1, nu1) == pytest.approx(1 / 6, abs=1e-12)
@@ -357,10 +357,16 @@ def test_round_to_type_worked_examples(chain_spectral):
 
 
 def test_round_to_type_validates():
-    skew = bt.BlockDistribution(2, 2, np.array([0.7, 0.1, 0.1, 0.1]))
-    with pytest.raises(ValueError):
-        bt.round_to_type(skew, 10)  # not stationary
-    nu = bt.BlockDistribution(2, 2, np.array([0.25, 0.25, 0.25, 0.25]), stationary=True)
+    # marginals (0.9, 0.1) and (0.7, 0.3): not the law of a stationary process
+    skew = bt.BlockDistribution(2, 2, np.array([0.7, 0.2, 0.0, 0.1]))
+    with pytest.raises(ValueError, match="stationary"):
+        bt.round_to_type(skew, 10)
+    # lopsided but balanced, and any 1-block law: stationary, so rounded
+    for k, law in ((2, [0.7, 0.1, 0.1, 0.1]), (1, [0.5, 0.5])):
+        nu = bt.BlockDistribution(2, k, np.array(law))
+        assert nu.stationary
+        assert bt.round_to_type(nu, 10).stationary
+    nu = bt.BlockDistribution(2, 2, np.array([0.25, 0.25, 0.25, 0.25]))
     with pytest.raises(ValueError):
         bt.round_to_type(nu, 1)  # n < k
 
@@ -430,16 +436,14 @@ def test_round_to_type_pinned_bits(make_stationary):
 
 
 def test_cycle_decompose_worked_example():
-    nu = bt.BlockDistribution(2, 2, np.full(4, 0.25), stationary=True)
+    nu = bt.BlockDistribution(2, 2, np.full(4, 0.25))
     parts = bt.cycle_decompose(nu)
     got = sorted((round(w, 12), c.arcs) for w, c in parts)
     assert got == [(0.25, (0,)), (0.25, (3,)), (0.5, (1, 2))]
 
 
 def test_cycle_decompose_fixed_points():
-    two_cycle = bt.BlockDistribution(
-        2, 2, np.array([0, 0.5, 0.5, 0]), stationary=True
-    )
+    two_cycle = bt.BlockDistribution(2, 2, np.array([0, 0.5, 0.5, 0]))
     parts = bt.cycle_decompose(two_cycle)
     assert len(parts) == 1
     weight, cyc = parts[0]
