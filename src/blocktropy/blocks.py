@@ -39,14 +39,52 @@ _MASS_TOL = 1e-12
 _BALANCE_TOL = 1e-12
 
 
+def _is_int(value: object) -> bool:
+    """True for Python and numpy integers, False for bool, float and str."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value: object, least: int) -> None:
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _block_vector(
+    alphabet_size: object, k: object, values: object, what: str, dtype: type
+) -> np.ndarray:
+    """A copy of ``values`` as one entry per k-word in code order, after
+    checking that the alphabet size is an integer >= 2 and k an integer
+    >= 1; ``what`` names the entries in the shape error."""
+    _require_int("alphabet size", alphabet_size, 2)
+    _require_int("block length k", k, 1)
+    v = np.array(values, dtype=dtype)
+    if v.shape != (alphabet_size**k,):
+        raise ValueError(
+            f"expected {alphabet_size ** k} {what} for k={k}, got shape {v.shape}"
+        )
+    return v
+
+
+def _marginals(
+    w: np.ndarray, alphabet_size: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (k-1)-word marginals of a k-block vector: the last symbol summed
+    out (out-degrees on the de Bruijn graph) and the first summed out
+    (in-degrees).  At k = 1 both are the total, as a 1-vector."""
+    A, V = alphabet_size, alphabet_size ** (k - 1)
+    return w.reshape(V, A).sum(axis=1), w.reshape(A, V).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class BlockDistribution:
     """A probability distribution on k-blocks, weights in word-code order.
 
-    ``weights[c]`` is the mass of the word with code ``c``.  Construction
-    validates nonnegativity and unit mass and measures ``stationary``: True
-    when the two (k-1)-marginals (sum out the last symbol / sum out the
-    first) agree to within 1e-12, so every 1-block law is stationary.
+    ``weights[c]`` is the mass of the word with code ``c``.  The alphabet
+    size must be an integer >= 2 and k an integer >= 1.  Construction keeps
+    a read-only copy of the weights, refuses negative or NaN weights and any
+    total but 1, and measures ``stationary``: True when the two
+    (k-1)-marginals (sum out the last symbol / sum out the first) agree to
+    within 1e-12, so every 1-block law is stationary.
     """
 
     alphabet_size: int
@@ -55,21 +93,13 @@ class BlockDistribution:
     stationary: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet must have at least two symbols")
-        if self.k < 1:
-            raise ValueError("block length k must be >= 1")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.alphabet_size**self.k,):
-            raise ValueError(
-                f"expected {self.alphabet_size ** self.k} weights for k={self.k}, "
-                f"got shape {w.shape}"
-            )
+        w = _block_vector(self.alphabet_size, self.k, self.weights, "weights", float)
         if np.any(w < -_MASS_TOL):
             raise ValueError("negative weight in block distribution")
-        w = np.maximum(w, 0.0)
-        if abs(w.sum() - 1.0) > _MASS_TOL * max(1.0, w.size**0.5):
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        np.maximum(w, 0.0, out=w)
+        total = w.sum()
+        if not abs(total - 1.0) <= _MASS_TOL * max(1.0, w.size**0.5):
+            raise ValueError(f"weights sum to {total!r}, not 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(
@@ -79,6 +109,7 @@ class BlockDistribution:
 
 def window_codes(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
     """Codes of the n-k+1 contiguous k-windows of ``x`` (no wraparound)."""
+    _require_int("block length k", k, 1)
     x = np.asarray(x)
     n = x.shape[-1]
     if n < k:
@@ -97,6 +128,7 @@ def cyclic_window_codes(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray
     Accepts a single sample of shape (n,) or a batch of shape (R, n); the
     window axis is always the last one.
     """
+    _require_int("block length k", k, 1)
     x = np.asarray(x)
     n = x.shape[-1]
     if n < 1:
@@ -173,11 +205,7 @@ def stationarity_defect(nu: BlockDistribution) -> float:
     Zero exactly when the k-block law is the k-marginal of a stationary
     process; 1-block distributions are vacuously stationary (defect 0).
     """
-    if nu.k < 2:
-        return 0.0
-    A = nu.alphabet_size
-    right = nu.weights.reshape(A ** (nu.k - 1), A).sum(axis=1)
-    left = nu.weights.reshape(A, A ** (nu.k - 1)).sum(axis=0)
+    right, left = _marginals(nu.weights, nu.alphabet_size, nu.k)
     return float(np.max(np.abs(right - left)))
 
 

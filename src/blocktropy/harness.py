@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .blocks import block_counts, block_schedule, window_codes
+from .blocks import _is_int, block_counts, block_schedule, window_codes
 from .entropy import (
     MEASURE_FUNCTIONALS,
     EntropyRecord,
@@ -37,7 +37,6 @@ from .entropy import (
 from .pressure import (
     MarkovPotential,
     SpectralData,
-    _is_int,
     _require_normalized,
     equilibrium_blocks,
     normalize_potential,

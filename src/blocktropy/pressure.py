@@ -20,12 +20,11 @@ without changing its equilibrium state.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockDistribution, marginalize
+from .blocks import BlockDistribution, _block_vector, marginalize
 from .entropy import conditional_block_entropy
 
 __all__ = [
@@ -62,11 +61,6 @@ _STALL_WINDOW = 64
 _NORMALIZED_TOL = 1e-8
 
 
-def _is_int(value: object) -> bool:
-    """True for Python and numpy integers, False for bool, float and str."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 class ConvergenceError(RuntimeError):
     """A spectral solve failed: the dense eigensolve did not converge, the
     equilibrium kernel underflowed, the stationary solve was singular or
@@ -82,8 +76,9 @@ class ReducibilityError(ValueError):
 class MarkovPotential:
     """A finite potential on k-words; ``values[c]`` for word code ``c``.
 
-    The alphabet size must be an integer >= 2 and k an integer >= 1.
-    Construction measures ``normalized``: True when sum_b exp(values[u b])
+    The alphabet size must be an integer >= 2 and k an integer >= 1, and
+    every value finite; construction keeps a read-only copy of the values
+    and measures ``normalized``: True when sum_b exp(values[u b])
     is 1 within 1e-8 at every (k-1)-word u, which makes exp(values) a
     transition kernel in its own right.
     """
@@ -94,19 +89,7 @@ class MarkovPotential:
     normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.alphabet_size) or self.alphabet_size < 2:
-            raise ValueError(
-                f"alphabet size must be an integer >= 2, got {self.alphabet_size!r}"
-            )
-        if not _is_int(self.k) or self.k < 1:
-            raise ValueError(
-                f"potential order k must be an integer >= 1, got {self.k!r}"
-            )
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.alphabet_size**self.k,):
-            raise ValueError(
-                f"expected {self.alphabet_size ** self.k} values, got shape {v.shape}"
-            )
+        v = _block_vector(self.alphabet_size, self.k, self.values, "values", float)
         if not np.all(np.isfinite(v)):
             raise ValueError("potential values must be finite")
         v.flags.writeable = False

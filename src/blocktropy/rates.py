@@ -11,9 +11,10 @@ pressure vanishes and the equilibrium entropy is -E[phi].  The SCGFs:
 Their Legendre duals are the rate functions for conditional-entropy and
 relative-entropy estimators: ``entropy_rate_function`` (strictly convex
 between the zero-temperature entropy and ln A, linear below) and
-``relative_rate_function`` (the identity on its domain).  Extreme cycle
-means come from Karp's minimum-mean-cycle recursion, independent of any
-eigenvalue machinery.
+``relative_rate_function`` (the identity on its domain); ``rate_curve``
+tabulates either of the two on a grid, and the SCGFs are evaluated one t
+at a time.  Extreme cycle means come from Karp's minimum-mean-cycle
+recursion, independent of any eigenvalue machinery.
 
 Two spectral quantities each have one route.  The central-limit variance
 sigma^2, the SCGFs' common curvature at t = 0, comes from one
@@ -408,15 +409,8 @@ def relative_rate_function(phi: MarkovPotential, u: float) -> float:
     return min(max(u, 0.0), endpoint)
 
 
-#: The curves ``rate_curve`` tabulates, by kind.
-_CURVES = {
-    "entropy_rate": entropy_rate_function,
-    "relative_rate": relative_rate_function,
-    "entropy_scgf": entropy_scgf,
-    "information_scgf": information_scgf,
-    "relative_scgf": relative_scgf,
-}
-_CURVE_KINDS = tuple(_CURVES)
+#: The rate functions ``rate_curve`` tabulates.
+_CURVE_KINDS = ("entropy_rate", "relative_rate")
 
 
 def _check_kind(kind: str) -> None:
@@ -426,7 +420,8 @@ def _check_kind(kind: str) -> None:
 
 @dataclass(frozen=True)
 class RateCurve:
-    """A rate function or SCGF tabulated on a grid (values may be inf)."""
+    """A rate function tabulated on a grid (values may be inf); ``kind``
+    is ``"entropy_rate"`` or ``"relative_rate"``."""
 
     kind: str
     grid: np.ndarray
@@ -447,12 +442,13 @@ class RateCurve:
 def rate_curve(
     phi: MarkovPotential, kind: str, grid: np.ndarray | list[float]
 ) -> RateCurve:
-    """Tabulate one of the named rate functions / SCGFs on a grid."""
+    """Tabulate ``entropy_rate_function`` (kind ``"entropy_rate"``) or
+    ``relative_rate_function`` (kind ``"relative_rate"``) on a grid."""
     _check_kind(kind)
     if kind == "entropy_rate":
         values = _entropy_rates(phi, grid)  # one tilt probe for the grid
     else:
-        values = [_CURVES[kind](phi, float(x)) for x in grid]
+        values = [relative_rate_function(phi, float(x)) for x in grid]
     return RateCurve(kind, np.asarray(grid, dtype=float), np.asarray(values))
 
 

@@ -27,7 +27,10 @@ import numpy as np
 
 from .blocks import (
     BlockDistribution,
+    _block_vector,
     _distinct_rows,
+    _marginals,
+    _require_int,
     block_counts,
     empirical_block_measure,
 )
@@ -63,7 +66,9 @@ class CountTable:
     Balance means: for every (k-1)-word u, the counts of words starting with
     u equal the counts of words ending with u.  Cyclic empirical counts of
     any sample satisfy this exactly, and conversely every *connected*
-    balanced table is realizable (see :func:`realize_sample`).
+    balanced table is realizable (see :func:`realize_sample`).  The alphabet
+    size must be an integer >= 2, k an integer >= 1 and n an integer;
+    construction keeps a read-only copy of the counts.
     """
 
     alphabet_size: int
@@ -72,25 +77,17 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (self.alphabet_size**self.k,):
-            raise ValueError(
-                f"expected {self.alphabet_size ** self.k} counts, got shape {c.shape}"
-            )
+        c = _block_vector(self.alphabet_size, self.k, self.counts, "counts", np.int64)
+        _require_int("total n", self.n, 0)
         if np.any(c < 0):
             raise ValueError("negative count")
         if int(c.sum()) != self.n:
             raise ValueError(f"counts sum to {int(c.sum())}, expected n={self.n}")
+        out_deg, in_deg = _marginals(c, self.alphabet_size, self.k)
+        if not np.array_equal(out_deg, in_deg):
+            raise ValueError("count table is not balanced (not a cyclic type)")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-        if self.k >= 2:
-            out_deg, in_deg = self._degrees(c)
-            if not np.array_equal(out_deg, in_deg):
-                raise ValueError("count table is not balanced (not a cyclic type)")
-
-    def _degrees(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A, V = self.alphabet_size, self.alphabet_size ** (self.k - 1)
-        return c.reshape(V, A).sum(axis=1), c.reshape(A, V).sum(axis=0)
 
     @property
     def vertex_count(self) -> int:
@@ -98,7 +95,7 @@ class CountTable:
 
     def out_degrees(self) -> np.ndarray:
         """Total count of words starting at each (k-1)-word vertex."""
-        return self._degrees(self.counts)[0]
+        return _marginals(self.counts, self.alphabet_size, self.k)[0]
 
     def to_distribution(self) -> BlockDistribution:
         return BlockDistribution(self.alphabet_size, self.k, self.counts / self.n)
@@ -208,10 +205,9 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
     distinct count rows, which are merged every 64 chunks.  Types are
     returned in lexicographic order of their count vectors.
     """
-    if alphabet_size < 2 or not 1 <= k <= n:
-        raise ValueError(
-            f"need A >= 2 and 1 <= k <= n, got A={alphabet_size}, k={k}, n={n}"
-        )
+    _require_int("alphabet size", alphabet_size, 2)
+    _require_int("block length k", k, 1)
+    _require_int("n", n, k)
     if _too_many_strings(alphabet_size, n, 1 << 24):
         raise ValueError("type enumeration limited to A**n <= 2**24 strings")
     types, fresh = np.empty((0, alphabet_size**k), dtype=np.int64), []

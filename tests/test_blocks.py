@@ -124,6 +124,23 @@ def test_distribution_validation():
         bt.BlockDistribution(2, 1, np.array([1.2, -0.2]))  # negative
 
 
+@pytest.mark.parametrize(
+    "build, given",
+    [
+        (lambda a: bt.BlockDistribution(2, 2, a).weights, np.full(4, 0.25)),
+        (lambda a: bt.CountTable(2, 2, 2, a).counts, np.array([1, 0, 0, 1])),
+        (lambda a: bt.MarkovPotential(2, 2, a).values, np.log(np.full(4, 0.5))),
+    ],
+    ids=["block-law", "count-table", "potential"],
+)
+def test_k_block_types_keep_a_read_only_copy(build, given):
+    kept = build(given)
+    assert given.flags.writeable and not kept.flags.writeable
+    before = kept.copy()
+    given[0] += 1
+    np.testing.assert_array_equal(kept, before)
+
+
 def test_tv_distance_and_prob():
     a = bt.BlockDistribution(2, 1, np.array([0.5, 0.5]))
     b = bt.BlockDistribution(2, 1, np.array([1.0, 0.0]))

@@ -35,10 +35,45 @@ def _bad_kernel_paths():
 #: name -> (call, error type, message fragment of the guard that must fire)
 GUARDS = {
     "block-law-alphabet": (
-        lambda: bt.BlockDistribution(1, 1, np.ones(1)), ValueError, "two symbols"
+        lambda: bt.BlockDistribution(1, 1, np.ones(1)), ValueError, "integer >= 2"
+    ),
+    "block-law-alphabet-float": (
+        lambda: bt.BlockDistribution(2.0, 2, np.full(4, 0.25)),
+        ValueError,
+        "alphabet size must be an integer >= 2",
     ),
     "block-law-order": (
-        lambda: bt.BlockDistribution(2, 0, np.ones(1)), ValueError, "k must be >= 1"
+        lambda: bt.BlockDistribution(2, 0, np.ones(1)), ValueError, "integer >= 1"
+    ),
+    "block-law-order-float": (
+        lambda: bt.BlockDistribution(2, 1.0, np.full(2, 0.5)),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "block-law-nan": (
+        lambda: bt.BlockDistribution(2, 1, np.array([math.nan, math.nan])),
+        ValueError,
+        "not 1",
+    ),
+    "window-codes-order": (
+        lambda: bt.window_codes(np.array([0, 1]), 0, 2),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "cyclic-codes-order-float": (
+        lambda: bt.cyclic_window_codes(np.array([0, 1]), 1.5, 2),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "block-counts-order": (
+        lambda: bt.block_counts(np.array([0, 1, 1, 0]), 0, 2),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "plug-in-order": (
+        lambda: bt.plug_in_estimates(np.array([0, 1, 1, 0]), 0, 2),
+        ValueError,
+        "block length k must be an integer >= 1",
     ),
     "window-codes-short": (
         lambda: bt.window_codes(np.array([0, 1]), 3, 2), ValueError, "no 3-windows"
@@ -153,8 +188,46 @@ GUARDS = {
         lambda: bt.markov_blocks(SKEWED, 3), ValueError, "stationary"
     ),
     "sampler-kernel-rows": (_bad_kernel_paths, ValueError, "kernel rows"),
+    "sampler-seed-float": (
+        lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 10, 1.5),
+        ValueError,
+        "seed must be an integer",
+    ),
+    "sampler-length-float": (
+        lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 1.5, 1),
+        ValueError,
+        "path length must be an integer",
+    ),
     "count-table-shape": (
         lambda: bt.CountTable(2, 2, 4, np.ones(5, int)), ValueError, "4 counts"
+    ),
+    "count-table-alphabet-float": (
+        lambda: bt.CountTable(2.0, 2, 4, np.ones(4, int)),
+        ValueError,
+        "alphabet size must be an integer >= 2",
+    ),
+    "count-table-order-float": (
+        lambda: bt.CountTable(2, 2.0, 4, np.ones(4, int)),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "count-table-total-float": (
+        lambda: bt.CountTable(2, 2, 4.0, np.ones(4, int)),
+        ValueError,
+        "total n must be an integer",
+    ),
+    "enumerate-types-alphabet-float": (
+        lambda: bt.enumerate_types(4, 2, 2.0),
+        ValueError,
+        "alphabet size must be an integer >= 2",
+    ),
+    "enumerate-types-order-float": (
+        lambda: bt.enumerate_types(4, 2.0, 2),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "enumerate-types-length-float": (
+        lambda: bt.enumerate_types(4.0, 2, 2), ValueError, "n must be an integer"
     ),
     "class-size-mode": (
         lambda: bt.type_class_size(bt.CountTable(2, 2, 4, np.ones(4, int)), "census"),

@@ -5,11 +5,14 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import math
 import re
 from pathlib import Path
 
 import blocktropy as bt
+
+from test_harness import EXAMPLE_CSV_SHA256
 
 LAYERS = ("blocks", "entropy", "harness", "pressure", "rates", "simulate", "typegraphs")
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +118,10 @@ def test_every_defaulted_parameter_is_passed():
                 ):
                     unset.append(f"{name}.{param.name}")
     assert not unset, f"defaulted parameters no caller passes: {unset}"
+
+
+def test_example_csv_pins_agree_with_the_benchmark():
+    # the unit tests and the benchmark pin the example CSVs separately; a
+    # re-pin of one alone would pass here and fail the benchmark
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    assert expected["ldp_example_csv_sha256"] == EXAMPLE_CSV_SHA256
