@@ -226,10 +226,8 @@ def block_schedule(n: int, alphabet_size: int, epsilon: float) -> int:
     the number of distinct (k-1)-contexts seen, so it tends to 0 but only
     at rate about n**(-eps).
     """
-    if n < 1:
-        raise ValueError("sample size must be positive")
+    _require_int("sample size n", n, 1)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet must have at least two symbols")
+    _require_int("alphabet size", alphabet_size, 2)
     return max(1, math.floor((1.0 - epsilon) * math.log(n) / math.log(alphabet_size)))

@@ -11,6 +11,13 @@ symbol summed out):
 with the conventions H_0 = 0 and D_0 = 0, so h_1 = H_1 and Delta_1 = D_1.
 Relative entropies return +inf when nu charges a word that rho does not;
 that is a divergence signal, not an overflow.
+
+The deviation machinery names four functionals (MEASURE_FUNCTIONALS):
+h_k, H_k/k, Delta_k and D_k/k.  One table says which column of
+functionals_from_counts each reads and whether it is divided by k; only
+the relative two read a reference law.  select_functional scores count
+rows with it and refuses a reference law that misses a k-word, and
+measure_functional scores one law.
 """
 
 from __future__ import annotations
@@ -166,7 +173,8 @@ def continuity_bound(delta: float, k: int, alphabet_size: int) -> float:
 #: Functionals of a k-block law used by the deviation machinery: per-step
 #: conditional entropy, per-symbol block entropy, per-symbol relative
 #: entropy, and the conditional relative entropy.  Each reads one column of
-#: :func:`functionals_from_counts`, divided by k for the per-symbol forms.
+#: :func:`functionals_from_counts`, divided by k for the per-symbol forms;
+#: the relative ones (columns 2 and 3) read a reference law rho_k.
 _FUNCTIONAL_COLUMNS = {
     "conditional": (1, False),
     "average": (0, True),
@@ -176,25 +184,42 @@ _FUNCTIONAL_COLUMNS = {
 MEASURE_FUNCTIONALS = tuple(_FUNCTIONAL_COLUMNS)
 
 
-def select_functional(name: str, values: np.ndarray, k: int) -> np.ndarray:
-    """The named functional, read off the last axis of values shaped like
-    those of :func:`functionals_from_counts` (one row or many)."""
+def _functional(name: str, rho_k: Optional[BlockDistribution]) -> tuple:
+    """Column and per-symbol flag of a functional, and the reference law it
+    reads: ``rho_k`` (required) for a relative functional, else None."""
     if name not in _FUNCTIONAL_COLUMNS:
         raise ValueError(f"unknown functional {name!r}")
     column, per_symbol = _FUNCTIONAL_COLUMNS[name]
-    if column >= values.shape[-1]:
+    if column >= 2 and rho_k is None:
         raise ValueError(f"functional {name!r} needs a reference distribution")
-    picked = values[..., column]
+    return column, per_symbol, rho_k if column >= 2 else None
+
+
+def select_functional(
+    name: str, counts: np.ndarray, n: int, k: int, rho_k: Optional[BlockDistribution]
+) -> np.ndarray:
+    """The named functional of every row of an (R, A**k) block-count matrix
+    of n-samples: bitwise the matching column of
+    :func:`functionals_from_counts`, over k for the per-symbol forms.
+
+    ``rho_k`` is read only by the relative functionals, and they refuse a
+    law that misses a k-word: the plug-in divergence of a sample that sees
+    the word would be +inf, and a moment generating average over samples
+    inf or NaN.
+    """
+    column, per_symbol, rho_k = _functional(name, rho_k)
+    if rho_k is not None and np.any(rho_k.weights <= 0):
+        raise ValueError("relative functionals need a full-support law")
+    picked = functionals_from_counts(counts, n, k, rho_k)[:, column]
     return picked / k if per_symbol else picked
 
 
 def measure_functional(
     name: str, nu: BlockDistribution, rho_k: Optional[BlockDistribution] = None
 ) -> float:
-    """Evaluate one of :data:`MEASURE_FUNCTIONALS` on a k-block law."""
-    A, k = nu.alphabet_size, nu.k
-    ref = None
-    if name.startswith("relative") and rho_k is not None:
-        ref = _reference(rho_k, A, k)
-    values = np.array(_row_functionals(nu.weights, A, k, ref))
-    return float(select_functional(name, values, k))
+    """Evaluate one of :data:`MEASURE_FUNCTIONALS` on a k-block law; a
+    relative one is +inf when nu charges a word that ``rho_k`` does not."""
+    column, per_symbol, rho_k = _functional(name, rho_k)
+    ref = None if rho_k is None else _reference(rho_k, nu.alphabet_size, nu.k)
+    value = _row_functionals(nu.weights, nu.alphabet_size, nu.k, ref)[column]
+    return value / nu.k if per_symbol else value

@@ -444,12 +444,7 @@ def _exact_finite_scgf_grid(
     if sd is None:
         sd = pressure(phi, 1.0)
 
-    rho_k = None
-    if functional.startswith("relative"):
-        rho_k = equilibrium_blocks(sd, k)
-        if np.any(rho_k.weights <= 0):
-            raise ValueError("relative functionals need a full-support law")
-
+    rho_k = equilibrium_blocks(sd, k)
     d = phi.k
     with np.errstate(divide="ignore"):
         log_q = np.log(sd.vertex_stationary)
@@ -458,8 +453,7 @@ def _exact_finite_scgf_grid(
     chunk_sums: list[list[float]] = [[] for _ in t_grid]
     mass_sums: list[float] = []
     for x, counts in _chunked_count_matrices(n, k, A):
-        values = functionals_from_counts(counts, n, k, rho_k)
-        f_vals = select_functional(functional, values, k)
+        f_vals = select_functional(functional, counts, n, k, rho_k)
         path_codes = window_codes(x, d, A)
         log_mass = log_q[path_codes[:, 0] // A] + log_kernel[path_codes].sum(
             axis=1
@@ -487,23 +481,22 @@ def mc_scgf(
     Averages exp(n t F) over seeded replicas; the relative spread of those
     exponential weights drives both the standard error and the high-variance
     flag (flagged when a few paths dominate the average, the usual failure
-    mode of naive tilted-mean estimation at large t).
+    mode of naive tilted-mean estimation at large t).  F is scored by
+    :func:`select_functional` against the equilibrium k-block law, so a
+    relative functional raises ValueError when that law misses a k-word.
     """
     if not _is_real(t):
         raise ValueError("t must be a finite real number")
     if replicas < 2:
         raise ValueError("mc_scgf needs at least 2 replicas")
     A = sd.potential.alphabet_size
-    rho_k = None
-    if functional.startswith("relative"):
-        rho_k = equilibrium_blocks(sd, k)
-    table = np.concatenate(
+    rho_k = equilibrium_blocks(sd, k)
+    scaled = n * t * np.concatenate(
         [
-            functionals_from_counts(block_counts(paths, k, A), n, k, rho_k)
+            select_functional(functional, block_counts(paths, k, A), n, k, rho_k)
             for paths in _replica_groups(sd, n, seed, replicas)
         ]
     )
-    scaled = n * t * select_functional(functional, table, k)
     top = float(scaled.max())
     weights = np.exp(scaled - top)
     mean_w = float(weights.mean())

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .blocks import _is_int, window_codes
+from .blocks import _is_int, _require_int, window_codes
 from .pressure import MarkovPotential, SpectralData
 
 __all__ = [
@@ -58,8 +58,9 @@ def sample_paths(
     uniform per step, in order.  The offset lets callers process a large
     replica range in memory-bounded groups without changing any path.
     Raises ValueError when n is not an integer >= k-1, when the seed is not
-    an integer that fits in 64 bits, or when a kernel row sums to 1 only
-    beyond 1e-12.
+    an integer that fits in 64 bits, when ``replicas`` is not an integer
+    >= 1 or ``replica_offset`` not an integer >= 0, or when a kernel row
+    sums to 1 only beyond 1e-12.
 
     Algorithm: the steps run in chunks of G replicas by T steps, with
     G*T*V <= ``_TABLE_CELLS`` (2**16) for V = A**(k-1) word states.  T is
@@ -93,6 +94,8 @@ def sample_paths(
         raise ValueError(f"path length must be an integer at least k-1, got {n!r}")
     if not _is_int(seed) or not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an integer fitting in 64 bits, got {seed!r}")
+    _require_int("replicas", replicas, 1)
+    _require_int("replica_offset", replica_offset, 0)
     row_defect = float(np.max(np.abs(sd.kernel.sum(axis=1) - 1.0)))
     if row_defect > 1e-12:
         raise ValueError(f"kernel rows sum to 1 only within {row_defect:.3e}")

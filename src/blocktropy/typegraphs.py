@@ -223,7 +223,11 @@ def type_count_bound(n: int, k: int, alphabet_size: int) -> float:
     """Polynomial bound (n+1)**(A**k) on the number of k-block types.
 
     Computed in log space; returns inf when the value exceeds float range.
+    Raises ValueError unless n >= 0, k >= 1 and A >= 2 are integers.
     """
+    _require_int("n", n, 0)
+    _require_int("block length k", k, 1)
+    _require_int("alphabet size", alphabet_size, 2)
     log_bound = alphabet_size**k * math.log(n + 1)
     return math.exp(log_bound) if log_bound < 709 else math.inf
 

@@ -109,9 +109,32 @@ GUARDS = {
         ValueError,
         "block spaces",
     ),
-    "schedule-n": (lambda: bt.block_schedule(0, 2, 0.2), ValueError, "positive"),
+    "schedule-n": (lambda: bt.block_schedule(0, 2, 0.2), ValueError, "integer >= 1"),
     "schedule-alphabet": (
-        lambda: bt.block_schedule(100, 1, 0.2), ValueError, "two symbols"
+        lambda: bt.block_schedule(100, 1, 0.2), ValueError, "integer >= 2"
+    ),
+    "schedule-n-float": (
+        lambda: bt.block_schedule(100.5, 2, 0.2),
+        ValueError,
+        "sample size n must be an integer",
+    ),
+    "schedule-alphabet-float": (
+        lambda: bt.block_schedule(100, 2.5, 0.2),
+        ValueError,
+        "alphabet size must be an integer",
+    ),
+    "type-bound-length-float": (
+        lambda: bt.type_count_bound(4.0, 2, 2), ValueError, "n must be an integer"
+    ),
+    "type-bound-order-float": (
+        lambda: bt.type_count_bound(4, 2.0, 2),
+        ValueError,
+        "block length k must be an integer",
+    ),
+    "type-bound-alphabet-float": (
+        lambda: bt.type_count_bound(4, 2, 2.0),
+        ValueError,
+        "alphabet size must be an integer",
     ),
     "functionals-shape": (
         lambda: bt.functionals_from_counts(np.ones(4, int), 4, 2),
@@ -125,7 +148,9 @@ GUARDS = {
         lambda: bt.continuity_bound(math.nan, 2, 2), ValueError, "nonnegative"
     ),
     "select-reference": (
-        lambda: bt.select_functional("relative_conditional", np.zeros((3, 2)), 2),
+        lambda: bt.select_functional(
+            "relative_conditional", np.zeros((3, 4), int), 4, 2, None
+        ),
         ValueError,
         "needs a reference",
     ),
@@ -197,6 +222,21 @@ GUARDS = {
         lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 1.5, 1),
         ValueError,
         "path length must be an integer",
+    ),
+    "sampler-replicas-float": (
+        lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 10, 1, replicas=1.5),
+        ValueError,
+        "replicas must be an integer >= 1",
+    ),
+    "sampler-replicas-negative": (
+        lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 10, 1, replicas=-1),
+        ValueError,
+        "replicas must be an integer >= 1",
+    ),
+    "sampler-replica-offset-float": (
+        lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 10, 1, 2, 0.5),
+        ValueError,
+        "replica_offset must be an integer >= 0",
     ),
     "count-table-shape": (
         lambda: bt.CountTable(2, 2, 4, np.ones(5, int)), ValueError, "4 counts"

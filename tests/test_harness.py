@@ -216,6 +216,28 @@ def test_exact_finite_scgf_relative_needs_full_support():
         _exact_finite_scgf_grid(phi, 6, 2, (0.5,), "relative_conditional", None)
 
 
+#: the golden-mean chain: the word 11 never occurs, so its equilibrium
+#: 2-block law (1/3, 1/3, 1/3, 0) misses a word
+GOLDEN_MEAN = {
+    "type": "values",
+    "alphabet_size": 2,
+    "k": 2,
+    "values": [math.log(0.5), math.log(0.5), 0.0, -800.0],
+}
+
+
+@pytest.mark.parametrize("functional", ["relative_conditional", "relative_average"])
+@pytest.mark.parametrize("t", [1.0, -0.5])
+def test_mc_scgf_relative_needs_full_support(functional, t):
+    # a sample whose wrap-around window is 11 has an infinite divergence,
+    # which used to give NaN at t > 0 and be dropped silently at t < 0
+    sd = bt.pressure(bt.potential_from_config(GOLDEN_MEAN), 1.0)
+    assert bt.equilibrium_blocks(sd, 2).weights[3] == 0.0
+    with pytest.raises(ValueError, match="full-support"):
+        mc_scgf(sd, 64, 2, t, functional, 64, seed=3)
+    assert math.isfinite(mc_scgf(sd, 64, 2, t, "conditional", 64, seed=3).estimate)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_finite_n_scgfs_reject_non_finite_t(chain_potential, chain_spectral, t):
     with pytest.raises(ValueError, match="finite real"):
