@@ -12,6 +12,11 @@ with the conventions H_0 = 0 and D_0 = 0, so h_1 = H_1 and Delta_1 = D_1.
 Relative entropies return +inf when nu charges a word that rho does not;
 that is a divergence signal, not an overflow.
 
+The count scorers read a sample's law off its cyclic k-block counts:
+row r of a count matrix is the type of one sample, and its law is
+counts[r] / counts[r].sum(), so the sample length n is never passed
+beside the counts.
+
 The deviation machinery names four functionals (MEASURE_FUNCTIONALS):
 h_k, H_k/k, Delta_k and D_k/k.  One table says which column of
 functionals_from_counts each reads and whether it is divided by k; only
@@ -99,18 +104,18 @@ def conditional_block_entropy(nu: BlockDistribution) -> float:
 
 def functionals_from_counts(
     counts: np.ndarray,
-    n: int,
     k: int,
     rho_k: Optional[BlockDistribution] = None,
 ) -> np.ndarray:
     """Plug-in functionals of every row of an (R, A**k) block-count matrix.
 
-    Row r of the result holds H_k and h_k of the law counts[r] / n, then
-    D_k and Delta_k against ``rho_k`` when one is given: shape (R, 2) or
-    (R, 4), columns in :class:`EntropyRecord` order.  A functional of the
-    counts depends only on the type, so each distinct row is evaluated
-    once and the values are gathered back.  Every sum runs over the
-    nonzero entries of its row, in code order, exactly as
+    Row r of the result holds H_k and h_k of the law counts[r] / n, where
+    the row's total n is its sample's length (a row that counts nothing
+    raises ValueError), then D_k and Delta_k against ``rho_k`` when one is
+    given: shape (R, 2) or (R, 4), columns in :class:`EntropyRecord` order.
+    A functional of the counts depends only on the type, so each distinct
+    row is evaluated once and the values are gathered back.  Every sum runs
+    over the nonzero entries of its row, in code order, exactly as
     :func:`conditional_block_entropy` and :func:`measure_functional` sum,
     so each value is bitwise the one they give for that row's law.
     """
@@ -120,8 +125,10 @@ def functionals_from_counts(
         raise ValueError(f"expected an (R, A**{k}) matrix of block counts")
     ref = None if rho_k is None else _reference(rho_k, alphabet_size, k)
     distinct, inverse = _distinct_rows(counts)
+    if not np.all(distinct.sum(axis=1) > 0):
+        raise ValueError("every row of block counts must count some window")
     values = np.array(
-        [_row_functionals(row / n, alphabet_size, k, ref) for row in distinct]
+        [_row_functionals(row / row.sum(), alphabet_size, k, ref) for row in distinct]
     )
     return values[inverse]
 
@@ -151,7 +158,7 @@ def plug_in_estimates(
     if x.ndim != 1:
         raise ValueError("expected a single 1-d sample")
     counts = block_counts(x[None], k, alphabet_size)
-    values = functionals_from_counts(counts, x.size, k, rho_k)[0]
+    values = functionals_from_counts(counts, k, rho_k)[0]
     return EntropyRecord(int(x.size), k, *values.tolist())
 
 
@@ -196,10 +203,10 @@ def _functional(name: str, rho_k: Optional[BlockDistribution]) -> tuple:
 
 
 def select_functional(
-    name: str, counts: np.ndarray, n: int, k: int, rho_k: Optional[BlockDistribution]
+    name: str, counts: np.ndarray, k: int, rho_k: Optional[BlockDistribution]
 ) -> np.ndarray:
-    """The named functional of every row of an (R, A**k) block-count matrix
-    of n-samples: bitwise the matching column of
+    """The named functional of every row of an (R, A**k) block-count matrix,
+    each row the counts of one sample: bitwise the matching column of
     :func:`functionals_from_counts`, over k for the per-symbol forms.
 
     ``rho_k`` is read only by the relative functionals, and they refuse a
@@ -210,7 +217,7 @@ def select_functional(
     column, per_symbol, rho_k = _functional(name, rho_k)
     if rho_k is not None and np.any(rho_k.weights <= 0):
         raise ValueError("relative functionals need a full-support law")
-    picked = functionals_from_counts(counts, n, k, rho_k)[:, column]
+    picked = functionals_from_counts(counts, k, rho_k)[:, column]
     return picked / k if per_symbol else picked
 
 

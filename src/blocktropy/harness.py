@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .blocks import _is_int, block_counts, block_schedule, window_codes
+from .blocks import _is_int, _require_int, block_counts, block_schedule, window_codes
 from .entropy import (
     MEASURE_FUNCTIONALS,
     EntropyRecord,
@@ -189,6 +189,15 @@ _GRID_FIELDS = (
 )
 
 
+#: The keys each potential form reads.  Every form also accepts a boolean
+#: "normalized", which changes nothing: normalized values are detected.
+_POTENTIAL_KEYS = {
+    "markov": {"type", "normalized", "transition"},
+    "bernoulli": {"type", "normalized", "p"},
+    "values": {"type", "normalized", "alphabet_size", "k", "values", "normalize"},
+}
+
+
 def _log_stochastic(rows: np.ndarray) -> np.ndarray:
     """Log of a row-stochastic matrix with strictly positive entries and
     rows summing to 1 within 1e-9, renormalized."""
@@ -207,10 +216,19 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
     {"type": "values", "alphabet_size": A, "k": k, "values": [...]} with
     integer A and k, which must already sum to one row-wise in exponential
     (within 1e-8) unless the boolean "normalize" is true and folds the
-    correction in here.  A "normalized" key is accepted and changes
-    nothing: normalized values are detected.
+    correction in here.  A boolean "normalized" key is accepted on every
+    form and changes nothing: normalized values are detected.  Any other
+    key is refused.
     """
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
+        raise ValueError(f"unknown potential type {kind!r}")
+    unknown = sorted(set(spec) - _POTENTIAL_KEYS[kind])
+    if unknown:
+        raise ValueError(f"unknown {kind} potential keys: {', '.join(unknown)}")
+    for flag in ("normalize", "normalized"):
+        if not isinstance(spec.get(flag, False), bool):
+            raise ValueError(f"{flag} must be true or false, got {spec[flag]!r}")
 
     def entry(key: str) -> object:
         if key not in spec:
@@ -227,20 +245,15 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
         if p.ndim != 1:
             raise ValueError("p must be a flat list of probabilities")
         return MarkovPotential(p.size, 1, _log_stochastic(p[None, :])[0])
-    if kind == "values":
-        normalize = spec.get("normalize", False)
-        if not isinstance(normalize, bool):
-            raise ValueError(f"normalize must be true or false, got {normalize!r}")
-        raw = MarkovPotential(entry("alphabet_size"), entry("k"), entry("values"))
-        if normalize:
-            return normalize_potential(raw)[0]
-        if raw.normalized:
-            return raw
-        raise ValueError(
-            "potential values are not normalized; set \"normalize\": true "
-            "to fold the correction in"
-        )
-    raise ValueError(f"unknown potential type {kind!r}")
+    raw = MarkovPotential(entry("alphabet_size"), entry("k"), entry("values"))
+    if spec.get("normalize", False):
+        return normalize_potential(raw)[0]
+    if raw.normalized:
+        return raw
+    raise ValueError(
+        "potential values are not normalized; set \"normalize\": true "
+        "to fold the correction in"
+    )
 
 
 def _effective_spectral(
@@ -374,7 +387,7 @@ def _run_lln(config: ExperimentConfig, sd: SpectralData) -> LdpReport:
         seed_n = _stage_seed(config.seed, _STAGE_LLN, n)
         values = np.concatenate(
             [
-                functionals_from_counts(block_counts(paths, k, A), n, k, rho_k)
+                functionals_from_counts(block_counts(paths, k, A), k, rho_k)
                 for paths in _replica_groups(sd, n, seed_n, config.replicas)
             ]
         )
@@ -399,12 +412,26 @@ def _run_lln(config: ExperimentConfig, sd: SpectralData) -> LdpReport:
 
 def _logsumexp(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return -math.inf
     top = float(np.max(values))
     if not math.isfinite(top):
         return top  # all -inf (or a genuine +inf dominates everything)
     return top + math.log(float(np.exp(values - top).sum()))
+
+
+def _spectrum(phi: MarkovPotential, sd: Optional[SpectralData]) -> SpectralData:
+    """The spectrum of the normalized ``phi`` at beta = 1: solved when ``sd``
+    is None, else ``sd`` itself, which must be that spectrum (a potential
+    with the same alphabet, order and values); any other raises ValueError."""
+    _require_normalized(phi)
+    if sd is None:
+        return pressure(phi, 1.0)
+    # equal alphabets and equal value vectors (A**k entries) mean equal k
+    if sd.beta != 1.0 or not (
+        sd.potential.alphabet_size == phi.alphabet_size
+        and np.array_equal(sd.potential.values, phi.values)
+    ):
+        raise ValueError("sd is not the spectrum of this potential at beta = 1")
+    return sd
 
 
 def exact_finite_scgf(phi: MarkovPotential, n: int, k: int, t: float) -> float:
@@ -415,34 +442,32 @@ def exact_finite_scgf(phi: MarkovPotential, n: int, k: int, t: float) -> float:
     block entropy F computed from cyclic k-block counts.  Feasible only
     while A**n stays at or below 2**22 strings.
     """
-    return _exact_finite_scgf_grid(phi, n, k, (t,), "conditional", None)[0]
+    return _exact_finite_scgf_grid(_spectrum(phi, None), n, k, (t,), "conditional")[0]
 
 
 def _exact_finite_scgf_grid(
-    phi: MarkovPotential,
+    sd: SpectralData,
     n: int,
     k: int,
     t_grid: Sequence[float],
     functional: str,
-    sd: Optional[SpectralData],
 ) -> list[float]:
     """``exact_finite_scgf`` at every t of a grid from one enumeration, for
-    any estimate functional, on ``phi``'s spectrum ``sd`` (solved here when
-    None).
+    any estimate functional, on the potential of the beta = 1 spectrum
+    ``sd``.
 
     The strings, their counts, functionals and masses do not depend on t, so
     each chunk is enumerated once and summed once per t.
     """
-    _require_normalized(phi)
+    phi = _spectrum(sd.potential, sd).potential  # normalized, at beta = 1
     A = phi.alphabet_size
     if not all(map(_is_real, t_grid)):
         raise ValueError("t must be a finite real number")
+    _require_int("path length n", n, 1)
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if _too_many_strings(A, n, _EXACT_STRING_CAP):
         raise ValueError("alphabet**n exceeds the exhaustive enumeration cap")
-    if sd is None:
-        sd = pressure(phi, 1.0)
 
     rho_k = equilibrium_blocks(sd, k)
     d = phi.k
@@ -453,7 +478,7 @@ def _exact_finite_scgf_grid(
     chunk_sums: list[list[float]] = [[] for _ in t_grid]
     mass_sums: list[float] = []
     for x, counts in _chunked_count_matrices(n, k, A):
-        f_vals = select_functional(functional, counts, n, k, rho_k)
+        f_vals = select_functional(functional, counts, k, rho_k)
         path_codes = window_codes(x, d, A)
         log_mass = log_q[path_codes[:, 0] // A] + log_kernel[path_codes].sum(
             axis=1
@@ -487,13 +512,15 @@ def mc_scgf(
     """
     if not _is_real(t):
         raise ValueError("t must be a finite real number")
+    _require_int("path length n", n, 1)
+    _require_int("replicas", replicas, 0)
     if replicas < 2:
         raise ValueError("mc_scgf needs at least 2 replicas")
     A = sd.potential.alphabet_size
     rho_k = equilibrium_blocks(sd, k)
     scaled = n * t * np.concatenate(
         [
-            select_functional(functional, block_counts(paths, k, A), n, k, rho_k)
+            select_functional(functional, block_counts(paths, k, A), k, rho_k)
             for paths in _replica_groups(sd, n, seed, replicas)
         ]
     )
@@ -524,8 +551,8 @@ def empirical_rate(
         raise ValueError("need at least one value")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    if n < 1:
-        raise ValueError("path length n must be positive")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"path length n must be a positive integer, got {n!r}")
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise ValueError("bin_width must be positive and finite")
     idx = np.floor(values / bin_width).astype(np.int64)
@@ -551,9 +578,7 @@ def decomposition_audit(
     equilibrium; the residual is whatever the two tracked terms leave over,
     reported next to the 10*k/n yardstick.
     """
-    _require_normalized(phi)
-    if sd is None:
-        sd = pressure(phi, 1.0)
+    sd = _spectrum(phi, sd)
     x = np.asarray(x)
     n = x.size
     d = phi.k
@@ -585,11 +610,11 @@ def variance_audit(
     averages of the potential; the z-score scales the gap by the normal
     sampling error of a variance over that many replicas.
     """
-    _require_normalized(phi)
+    _require_int("path length n", n, 1)
+    _require_int("replicas", replicas, 0)
     if replicas < 2:
         raise ValueError("variance_audit needs at least 2 replicas")
-    if sd is None:
-        sd = pressure(phi, 1.0)
+    sd = _spectrum(phi, sd)
     theory = _poisson_variance(sd)
     sums = np.concatenate(
         [birkhoff_sums(paths, phi) for paths in _replica_groups(sd, n, seed, replicas)]
@@ -656,7 +681,7 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     exact_ok = not _too_many_strings(A, config.exact_n, _EXACT_STRING_CAP)
     exact_values: Sequence[Optional[float]] = (
         _exact_finite_scgf_grid(
-            phi, config.exact_n, config.exact_k, config.t_grid, config.functional, sd
+            sd, config.exact_n, config.exact_k, config.t_grid, config.functional
         )
         if exact_ok
         else [None] * len(config.t_grid)

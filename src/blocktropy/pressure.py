@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockDistribution, _block_vector, marginalize
+from .blocks import BlockDistribution, _block_vector, _require_int, marginalize
 from .entropy import conditional_block_entropy
 
 __all__ = [
@@ -393,6 +393,7 @@ def direct_pressure_estimate(phi: MarkovPotential, beta: float, n: int) -> float
     A, k = phi.alphabet_size, phi.k
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
+    _require_int("n", n, 1)
     if n < k:
         raise ValueError("need n >= k")
     V = A ** (k - 1)

@@ -118,6 +118,9 @@ def test_exit_code_config_not_an_object(tmp_path, capsys):
         {"t_grid": [math.inf]},
         {"t_grid": [10**400]},  # a JSON integer past float range
         {"beta": 10**400},
+        {"potential": {**CHAIN_CONFIG, "tranistion_typo": 1}},
+        {"potential": {**CHAIN_CONFIG, "beta": 2}},
+        {"potential": {**CHAIN_CONFIG, "normalized": "yes"}},
     ],
 )
 def test_exit_code_malformed_config(tmp_path, capsys, entries):

@@ -164,7 +164,7 @@ def test_functionals_from_counts_is_bitwise_plug_in(A, k):
         rho = bt.BlockDistribution(A, k, weights / weights.sum())
         counts = bt.block_counts(X, k, A)
         for ref in (None, rho):
-            values = bt.functionals_from_counts(counts, n, k, ref)
+            values = bt.functionals_from_counts(counts, k, ref)
             assert values.shape == (10, 2 if ref is None else 4)
             for r in range(10):
                 row = tuple(values[r].tolist())
@@ -176,6 +176,22 @@ def test_functionals_from_counts_is_bitwise_plug_in(A, k):
                 assert row == fields
             infinite += int(np.isinf(values).sum())
     assert infinite > 0
+
+
+def test_functionals_from_counts_reads_each_row_length():
+    # each row's law is its counts over their own total, so stacked counts of
+    # paths of different lengths score like each path on its own
+    rho = bt.BlockDistribution(2, 2, np.array([0.4, 0.2, 0.2, 0.2]))
+    paths = [np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1]), np.array([1, 1, 0] * 4)]
+    counts = np.vstack([bt.block_counts(x, 2, 2) for x in paths])
+    values = bt.functionals_from_counts(counts, 2, rho)
+    for row, x in zip(values.tolist(), paths):
+        rec = bt.plug_in_estimates(x, 2, 2, rho)
+        assert tuple(row) == (
+            rec.block_entropy, rec.cond_entropy, rec.rel_entropy, rec.rel_cond_entropy
+        )
+    with pytest.raises(ValueError, match="count some window"):
+        bt.functionals_from_counts(np.vstack([counts[0], np.zeros(4, int)]), 2)
 
 
 def _context_kl(x: np.ndarray, k: int, transition: np.ndarray) -> float:

@@ -137,7 +137,7 @@ GUARDS = {
         "alphabet size must be an integer",
     ),
     "functionals-shape": (
-        lambda: bt.functionals_from_counts(np.ones(4, int), 4, 2),
+        lambda: bt.functionals_from_counts(np.ones(4, int), 2),
         ValueError,
         "matrix of block counts",
     ),
@@ -149,7 +149,7 @@ GUARDS = {
     ),
     "select-reference": (
         lambda: bt.select_functional(
-            "relative_conditional", np.zeros((3, 4), int), 4, 2, None
+            "relative_conditional", np.zeros((3, 4), int), 2, None
         ),
         ValueError,
         "needs a reference",
@@ -178,6 +178,40 @@ GUARDS = {
         ValueError,
         "beta must be finite",
     ),
+    "direct-pressure-length-float": (
+        lambda: bt.direct_pressure_estimate(CHAIN, 1.0, 10.5),
+        ValueError,
+        "n must be an integer >= 1",
+    ),
+    "mc-scgf-length-float": (
+        lambda: bt.mc_scgf(
+            bt.pressure(CHAIN, 1.0), 16.5, 2, 0.5, "conditional", 8, 1
+        ),
+        ValueError,
+        "path length n must be an integer >= 1",
+    ),
+    "mc-scgf-replicas-float": (
+        lambda: bt.mc_scgf(
+            bt.pressure(CHAIN, 1.0), 16, 2, 0.5, "conditional", 4.5, 1
+        ),
+        ValueError,
+        "replicas must be an integer",
+    ),
+    "variance-audit-length-float": (
+        lambda: bt.variance_audit(CHAIN, 16.5, 8, 1),
+        ValueError,
+        "path length n must be an integer >= 1",
+    ),
+    "variance-audit-replicas-float": (
+        lambda: bt.variance_audit(CHAIN, 16, 4.5, 1),
+        ValueError,
+        "replicas must be an integer",
+    ),
+    "exact-scgf-length-float": (
+        lambda: bt.exact_finite_scgf(CHAIN, 10.0, 2, 0.5),
+        ValueError,
+        "path length n must be an integer >= 1",
+    ),
     "legendre-nan": (
         lambda: bt.legendre(
             bt.RateCurve("entropy_rate", np.array([0.1]), np.array([0.0])), math.nan
@@ -200,6 +234,11 @@ GUARDS = {
         lambda: bt.empirical_rate([0.1, math.nan], 10, 0.02),
         ValueError,
         "values must be finite",
+    ),
+    "empirical-rate-length-float": (
+        lambda: bt.empirical_rate([0.1, 0.2], 10.5, 0.1),
+        ValueError,
+        "path length n must be a positive integer",
     ),
     "empirical-rate-inf": (
         lambda: bt.empirical_rate([0.1, math.inf], 10, 0.02),

@@ -159,6 +159,15 @@ def test_potential_from_config_forms(chain_potential):
         {"type": "markov", "transition": [[1.0]]},
         {"type": "bernoulli", "p": [[0.5, 0.5]]},
         {"type": "gibbs"},
+        {"type": ["markov"], "transition": [[0.9, 0.1], [0.2, 0.8]]},
+        {**CHAIN_CONFIG, "tranistion_typo": 1},
+        {**CHAIN_CONFIG, "beta": 2},
+        {**CHAIN_CONFIG, "normalize": True},
+        {"type": "bernoulli", "p": [0.5, 0.5], "transition": [[1.0]]},
+        {"type": "values", "alphabet_size": 2, "k": 1,
+         "values": [-math.log(2)] * 2, "normalise": True},
+        {**CHAIN_CONFIG, "normalized": "yes"},
+        {"type": "bernoulli", "p": [0.5, 0.5], "normalized": 1},
     ],
 )
 def test_potential_from_config_rejects(bad):
@@ -175,7 +184,7 @@ def test_exact_finite_scgf_matches_oracle(chain_potential, chain_spectral):
         (5, 2, 0.8, "relative_average"),
     ]:
         assert _exact_finite_scgf_grid(
-            chain_potential, n, k, (t,), functional, chain_spectral
+            chain_spectral, n, k, (t,), functional
         )[0] == pytest.approx(
             _exact_scgf_oracle(chain_potential, chain_spectral, n, k, t, functional),
             abs=1e-12,
@@ -186,7 +195,7 @@ def test_exact_finite_scgf_matches_oracle(chain_potential, chain_spectral):
     )
 
 
-def test_exact_finite_scgf_guards(chain_potential):
+def test_exact_finite_scgf_guards(chain_potential, chain_spectral):
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(chain_potential, 4, 5, 0.5)
     with pytest.raises(ValueError):
@@ -196,7 +205,7 @@ def test_exact_finite_scgf_guards(chain_potential):
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(phi_a3, 10**9, 2, 0.5)
     with pytest.raises(ValueError):
-        _exact_finite_scgf_grid(chain_potential, 6, 2, (0.5,), "entropy", None)
+        _exact_finite_scgf_grid(chain_spectral, 6, 2, (0.5,), "entropy")
     raw = bt.MarkovPotential(2, 2, np.array([0.1, 0.0, -0.3, 0.2]))
     with pytest.raises(ValueError):
         bt.exact_finite_scgf(raw, 6, 2, 0.5)
@@ -213,7 +222,9 @@ def test_exact_finite_scgf_relative_needs_full_support():
         }
     )
     with pytest.raises(ValueError, match="full-support"):
-        _exact_finite_scgf_grid(phi, 6, 2, (0.5,), "relative_conditional", None)
+        _exact_finite_scgf_grid(
+            bt.pressure(phi, 1.0), 6, 2, (0.5,), "relative_conditional"
+        )
 
 
 #: the golden-mean chain: the word 11 never occurs, so its equilibrium
@@ -304,6 +315,39 @@ def test_decomposition_audit(chain_potential, chain_spectral):
         bt.decomposition_audit(x, chain_potential, 1, chain_spectral)  # k < depth
     # without a spectrum the audit solves its own, to the same row
     assert bt.decomposition_audit(x, chain_potential, 3) == row
+
+
+#: the uniform chain: normalized, on the reference chain's block space
+UNIFORM_CHAIN = {"type": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]]}
+
+
+def test_stages_refuse_the_spectrum_of_another_potential(
+    chain_potential, chain_spectral
+):
+    x = bt.sample_paths(chain_spectral, 256, seed=77)[0]
+    psi = bt.potential_from_config(UNIFORM_CHAIN)
+    psi_sd = bt.pressure(psi, 1.0)
+    hot = bt.pressure(chain_potential, 2.0)
+    for sd in (psi_sd, hot):
+        with pytest.raises(ValueError, match="not the spectrum"):
+            bt.decomposition_audit(x, chain_potential, 3, sd)
+        with pytest.raises(ValueError, match="not the spectrum"):
+            bt.variance_audit(chain_potential, 64, 8, 3, sd)
+    with pytest.raises(ValueError, match="not the spectrum"):
+        _exact_finite_scgf_grid(hot, 8, 2, (0.5,), "conditional")
+    # the grid reads its potential off the spectrum, so psi's spectrum is psi's
+    assert _exact_finite_scgf_grid(psi_sd, 8, 2, (0.5,), "conditional") == [
+        bt.exact_finite_scgf(psi, 8, 2, 0.5)
+    ]
+    # an equal potential built separately shares the spectrum
+    twin = bt.potential_from_config(CHAIN_CONFIG)
+    assert twin is not chain_potential
+    assert bt.decomposition_audit(x, twin, 3, chain_spectral) == (
+        bt.decomposition_audit(x, chain_potential, 3, chain_spectral)
+    )
+    assert bt.variance_audit(twin, 64, 8, 3, chain_spectral) == (
+        bt.variance_audit(chain_potential, 64, 8, 3)
+    )
 
 
 def test_variance_audit(chain_potential, chain_spectral):
