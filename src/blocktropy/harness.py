@@ -235,17 +235,24 @@ def potential_from_config(spec: Mapping[str, object]) -> MarkovPotential:
             raise ValueError(f"{kind} potential needs a {key!r} entry")
         return spec[key]
 
+    def numbers(key: str) -> np.ndarray:
+        value = entry(key)
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must hold numbers, got {value!r}") from None
+
     if kind == "markov":
-        rows = np.asarray(entry("transition"), dtype=float)
+        rows = numbers("transition")
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("transition must be a square matrix")
         return MarkovPotential(rows.shape[0], 2, _log_stochastic(rows).ravel())
     if kind == "bernoulli":
-        p = np.asarray(entry("p"), dtype=float)
+        p = numbers("p")
         if p.ndim != 1:
             raise ValueError("p must be a flat list of probabilities")
         return MarkovPotential(p.size, 1, _log_stochastic(p[None, :])[0])
-    raw = MarkovPotential(entry("alphabet_size"), entry("k"), entry("values"))
+    raw = MarkovPotential(entry("alphabet_size"), entry("k"), numbers("values"))
     if spec.get("normalize", False):
         return normalize_potential(raw)[0]
     if raw.normalized:

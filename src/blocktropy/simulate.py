@@ -8,18 +8,21 @@ in a fixed order -- one draw for the start, then one uniform per step -- so
 batched and one-at-a-time runs are bitwise identical.
 
 Each step's uniform fixes a map from the V = A**(k-1) word states to
-themselves, so a path is a prefix composition of such maps.  The sampler
-tabulates them chunk by chunk (the symbol every state would emit at every
-step, from the same inverse-CDF comparisons a step-by-step walk makes) and
-composes them in blocks of about sqrt(T) steps, with Python loops per
-replica, alphabet symbol, block, block step and chunk, never per path
-symbol.  Tables are capped at ``_TABLE_CELLS`` cells, so memory stays
-bounded for any path length.
+themselves, and walks driven by the same uniforms agree once they meet
+(the coupling behind coupling from the past).  The sampler cuts each chunk
+of steps into lanes that it walks side by side, one numpy call per lane
+step for all lanes at once.  A lane whose start is not yet known walks from
+state 0 and, beside that, from all V states only until those V walks meet;
+from then on its end no longer depends on its start.  The lanes are then
+stitched in order and the symbols from before each meeting are read off
+for the true start.  The inverse-CDF comparisons and the order of the
+uniforms are those of a step-by-step walk, so the paths are too.  Chunks
+are capped at ``_CHUNK_SYMBOLS`` symbols and ``_CHUNK_CELLS`` V-wide cells,
+so memory stays bounded for any path length.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -39,8 +42,13 @@ __all__ = [
 RNG_NAME = "numpy.random.PCG64"
 
 _PATH_MAGIC = b"BKTP"
-#: Cell budget G*T*V of one chunk's symbol table (see :func:`sample_paths`).
-_TABLE_CELLS = 1 << 16
+#: Budgets of one chunk (see :func:`sample_paths`): G*T symbols, G*T*V
+#: cells of V-wide records, about ``_LANE_CELLS`` V-wide cells per lane step
+#: (so about 2**14 / V lanes), and lanes of at least ``_MIN_LANE`` steps.
+_CHUNK_SYMBOLS = 1 << 17
+_CHUNK_CELLS = 1 << 22
+_LANE_CELLS = 1 << 14
+_MIN_LANE = 64
 
 
 def sample_paths(
@@ -63,30 +71,39 @@ def sample_paths(
     sums to 1 only beyond 1e-12.
 
     Algorithm: the steps run in chunks of G replicas by T steps, with
-    G*T*V <= ``_TABLE_CELLS`` (2**16) for V = A**(k-1) word states.  T is
-    the larger of 2**16/(V*R) and (2**16/V)**(2/3), at most the number of
-    steps, and G fills the rest of the budget; this keeps the per-block and
-    per-replica Python loops below short next to the G*T symbols of a
-    chunk.  For a chunk:
+    G*T <= ``_CHUNK_SYMBOLS`` (2**17) and G*T*V <= ``_CHUNK_CELLS`` (2**22)
+    for V = A**(k-1) word states.  T is the larger of the budget over R and
+    1/128 of it, at most the number of steps, and G fills the rest.  Within
+    a chunk:
 
-    1. Table.  ``sym[t, r, s]``, the symbol step t of replica r emits from
-       state s, is the number of CDF columns of kernel row s below the
-       last one (which is 1 up to rounding) that u reaches, so the last
-       symbol takes whatever mass the rounding of the partial sums leaves;
-       one vectorized comparison per column covers all states.  State s
-       then moves to ``(s*A + sym) % V``.
-    2. Walk.  The chunk is cut into blocks of L = ceil(sqrt(T)) steps.  All
-       V start states of every block advance together for L steps (one
-       gather per step, O(G*T*V) work in all); the true block start states
-       are then stitched replica-wise in T/L steps; each symbol is read from
-       its block's trajectory for that start.  Padding past step T in the
-       last block is discarded, and the next chunk starts from the word
-       state spelled by the last k-1 symbols already written.
+    1. Lanes.  Each replica's T steps are cut into lanes of L steps, with
+       about ``_LANE_CELLS``/V lanes (1024 at V = 16) of at least
+       ``_MIN_LANE`` (64) steps; the last lane of a replica is padded.
+       Step i of every lane is one vectorized step: a walk in state s
+       emits the number of CDF columns of kernel row s below the last one
+       (which is 1 up to rounding) that its uniform reaches, so the last
+       symbol takes whatever mass the rounding of the partial sums leaves,
+       and moves to ``(s*A + symbol) % V``.  Walks carry the arc base s*A,
+       and both the thresholds (at s*A) and the next base (at the arc code
+       s*A + symbol) are ``take`` lookups in (V*A)-tables.
+    2. Coalescence.  A replica's first lane walks from its known start.
+       Every other lane walks from state 0 and, while they differ, from all
+       V states too, keeping the V symbols of each such step.  Once the V
+       walks sit in one state the lane is closed: it does no V-wide work
+       after that, and its walk from state 0 has reached the merged state.
+    3. Stitch.  Lane b starts where lane b-1 ends.  A closed lane ends where
+       its walk from state 0 ended, so when every lane has closed the starts
+       are one assignment; lanes still open are chained in lane order from
+       their V end states.  Each lane's kept V-wide symbols are then read at
+       its true start.  The next chunk starts from the word state spelled
+       by the last k-1 symbols already written.
 
-    The work is O(R*n*V) against O(R*n*A) for a step-by-step walk, paid in
-    array operations instead of one interpreted step per symbol.  It wins
-    by one to two orders of magnitude on single paths and short memories;
-    for V >= 16 a step-by-step walk is faster once V*R exceeds about 1000.
+    The one-wide work is O(R*n*A), in about 3A numpy calls per lane step,
+    each over all the lanes of a chunk.  The V-wide work is O(V*A) per lane
+    step until the lane closes, so it depends on how fast the kernel's
+    walks couple.  A kernel whose walks rarely meet (a near-periodic chain)
+    pays the V factor on every step and a Python loop over lanes at the
+    stitch.
     """
     A = sd.potential.alphabet_size
     k = sd.potential.k
@@ -128,10 +145,9 @@ def sample_paths(
 
 def _chunk_shape(V: int, R: int, steps: int) -> tuple[int, int]:
     """(replicas, steps) of one chunk; see :func:`sample_paths`."""
-    per_state = max(1, _TABLE_CELLS // V)
-    t_chunk = max(per_state // max(R, 1), int(per_state ** (2 / 3)))
-    t_chunk = max(1, min(steps, t_chunk))
-    return max(1, min(R, per_state // t_chunk)), t_chunk
+    budget = max(1, min(_CHUNK_SYMBOLS, _CHUNK_CELLS // V))
+    t_chunk = max(1, min(steps, max(budget // R, budget // 128)))
+    return max(1, min(R, budget // t_chunk)), t_chunk
 
 
 def _walk_chunk(cdf: np.ndarray, start: np.ndarray, gens: list, T: int) -> np.ndarray:
@@ -140,35 +156,65 @@ def _walk_chunk(cdf: np.ndarray, start: np.ndarray, gens: list, T: int) -> np.nd
     kernel's first A-1 CDF columns.  See :func:`sample_paths`."""
     V, A = cdf.shape[0], cdf.shape[1] + 1
     G = len(gens)
-    L = math.isqrt(T - 1) + 1  # block length, ceil(sqrt(T))
-    nb = -(-T // L)  # blocks per replica; the last one is padded
-    M = G * nb
-    u = np.zeros((G, nb * L))
+    # lanes per replica: about _LANE_CELLS / V lanes in all, _MIN_LANE long
+    nl = -(-T // max(_MIN_LANE, -(-G * T * V // _LANE_CELLS)))
+    L = -(-T // nl)  # lane length; the last lane of a replica is padded
+    M = G * nl
+    u = np.zeros((G, nl * L))
     for r, g in enumerate(gens):
         g.random(out=u[r, :T])
-    u = u.reshape(M, L).T.copy()  # u[i, m]: step i of block m = g*nb + b
-    # sym[i, m, s]: symbol step i of block m emits from state s
-    sym = np.zeros((L, M, V), dtype=np.int8 if A <= 127 else np.int32)
-    for j in range(A - 1):
-        sym += u[:, :, None] >= cdf[:, j]
-    # advance every block from every start state; sym[i, m, s] becomes the
-    # symbol of step i of block m when the block starts in state s
-    state_dtype = np.int16 if V * A <= np.iinfo(np.int16).max else np.int64
-    base = (np.arange(M) * V)[:, None]
-    cur = np.tile(np.arange(V, dtype=state_dtype), (M, 1))
+    u = u.reshape(M, L).T.copy()  # u[i, m]: step i of lane m = r*nl + b
+    # walks carry the arc base s*A of their state s: the thresholds of s
+    # and the base after the arc s*A + x are lookups in (V*A)-tables
+    thr = np.repeat(cdf.T, A, axis=1)
+    succ = np.arange(V * A) % V * A
+    sym = np.zeros((L, M), dtype=np.int8 if A <= 127 else np.int32)
+    head = np.zeros(M, dtype=np.intp)  # lane 0 from its start, others from 0
+    head[::nl] = start * A
+    # the other lanes also walk from all V states until those meet;
+    # heads[s, l] follows open lane lanes[l] from state s
+    lanes = np.flatnonzero(np.arange(M) % nl) if V > 1 else np.zeros(0, np.intp)
+    heads = np.repeat(np.arange(V)[:, None] * A, lanes.size, axis=1)
+    records = []  # step i: (open lanes, their symbols from each start)
     for i in range(L):
-        emitted = sym[i].reshape(-1)[base + cur]
-        sym[i] = emitted
-        cur = (cur * A + emitted) % V
-    # stitch: block b of replica g starts where block b-1 ended
-    ends = cur.reshape(G, nb, V)
-    rows = np.arange(G)
-    block_start = np.empty((G, nb), dtype=np.int64)
-    block_start[:, 0] = start
-    for b in range(1, nb):
-        block_start[:, b] = ends[rows, b - 1, block_start[:, b - 1]]
-    picked = sym.reshape(L, M * V)[:, base[:, 0] + block_start.reshape(-1)]
-    return picked.T.reshape(G, nb * L)[:, :T]
+        head = _step(u[i], head, thr, succ, sym[i])
+        if lanes.size:
+            if i % 16 == 0:  # 16 steps share a buffer: fewer, larger allocations
+                block = np.empty((16, heads.size), dtype=sym.dtype)
+            xs = block[i % 16, : heads.size].reshape(heads.shape)
+            xs[...] = 0
+            heads = _step(u[i].take(lanes), heads, thr, succ, xs)
+            records.append((lanes, xs))
+            still = (heads[1:] != heads[0]).any(axis=0)
+            if not still.all():
+                lanes, heads = lanes[still], heads.compress(still, axis=1)
+    # stitch: lane b of replica g starts where lane b-1 ended; a closed
+    # lane ends where its walk from state 0 did, whatever its start
+    first = np.empty((G, nl), dtype=np.intp)
+    first[:, 0] = start
+    first[:, 1:] = (head // A).reshape(G, nl)[:, :-1]
+    if lanes.size:
+        g_open, b_open = np.divmod(lanes, nl)
+        for b in sorted(set(b_open[b_open < nl - 1].tolist())):
+            sel = np.flatnonzero(b_open == b)
+            g = g_open[sel]
+            first[g, b + 1] = heads[first[g, b], sel] // A
+    first = first.reshape(-1)
+    for i, (idx, xs) in enumerate(records):
+        sym[i, idx] = xs[first[idx], np.arange(idx.size)]
+    return sym.T.reshape(G, nl * L)[:, :T]
+
+
+def _step(
+    u: np.ndarray, head: np.ndarray, thr: np.ndarray, succ: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """One step of walks at arc bases ``head`` driven by uniforms ``u``:
+    adds the emitted symbols into the zeroed ``x`` and returns the next
+    arc bases.  A symbol is the number of the state's CDF columns in
+    ``thr`` that its uniform reaches."""
+    for t in thr:
+        x += u >= t.take(head)
+    return succ.take(head + x)
 
 
 def birkhoff_sums(paths: np.ndarray, phi: MarkovPotential) -> np.ndarray:

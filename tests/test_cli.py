@@ -121,6 +121,9 @@ def test_exit_code_config_not_an_object(tmp_path, capsys):
         {"potential": {**CHAIN_CONFIG, "tranistion_typo": 1}},
         {"potential": {**CHAIN_CONFIG, "beta": 2}},
         {"potential": {**CHAIN_CONFIG, "normalized": "yes"}},
+        {"potential": {"type": "markov", "transition": {"a": 1}}},
+        {"potential": {"type": "bernoulli", "p": {"a": 1}}},
+        {"potential": {"type": "values", "alphabet_size": 2, "k": 1, "values": {"a": 1}}},
     ],
 )
 def test_exit_code_malformed_config(tmp_path, capsys, entries):

@@ -168,11 +168,25 @@ def test_potential_from_config_forms(chain_potential):
          "values": [-math.log(2)] * 2, "normalise": True},
         {**CHAIN_CONFIG, "normalized": "yes"},
         {"type": "bernoulli", "p": [0.5, 0.5], "normalized": 1},
+        {"type": "markov", "transition": {"a": 1}},
+        {"type": "bernoulli", "p": {"a": 1}},
+        {"type": "values", "alphabet_size": 2, "k": 1, "values": {"a": 1}},
     ],
 )
 def test_potential_from_config_rejects(bad):
     with pytest.raises(ValueError):
         bt.potential_from_config(bad)
+
+
+@pytest.mark.parametrize("key", ["transition", "p", "values"])
+def test_potential_from_config_names_a_non_numeric_entry(key):
+    spec = {
+        "transition": {"type": "markov"},
+        "p": {"type": "bernoulli"},
+        "values": {"type": "values", "alphabet_size": 2, "k": 1},
+    }[key]
+    with pytest.raises(ValueError, match=f"{key} must hold numbers"):
+        bt.potential_from_config({**spec, key: {"a": 1}})
 
 
 def test_exact_finite_scgf_matches_oracle(chain_potential, chain_spectral):

@@ -8,8 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
+from blocktropy import simulate
 from blocktropy.simulate import _chunk_shape
 
 #: sha256 of ``sample_paths(chain_spectral, 8192 + 37, seed=13)[0].tobytes()``,
@@ -65,6 +67,50 @@ def reference_paths(sd, n, seed, replicas=1, replica_offset=0):
     return out
 
 
+#: A chunk budget under which short paths cross many lane and chunk ends.
+SMALL_CHUNKS = {"_CHUNK_SYMBOLS": 1 << 10, "_MIN_LANE": 8}
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    for name, value in SMALL_CHUNKS.items():
+        monkeypatch.setattr(simulate, name, value)
+
+
+def _log_walks(monkeypatch):
+    """Spy on the sampler's walk: one list per chunk with, for each step,
+    the number of lanes that took a V-wide step (0 for none).  Fails if a
+    V-wide step carries a lane whose walks have all met."""
+    log = []
+    walk, step = simulate._walk_chunk, simulate._step
+
+    def logged_walk(*args):
+        log.append([])
+        return walk(*args)
+
+    def logged_step(u, head, thr, succ, x):
+        if head.ndim == 1:
+            log[-1].append(0)
+        else:
+            assert (head[1:] != head[0]).any(axis=0).all(), "V-wide step on a closed lane"
+            log[-1][-1] = head.shape[1]
+        return step(u, head, thr, succ, x)
+
+    monkeypatch.setattr(simulate, "_walk_chunk", logged_walk)
+    monkeypatch.setattr(simulate, "_step", logged_step)
+    return log
+
+
+def _peaked_spectrum():
+    """A = 4, k = 3 (V = 16) equilibrium whose kernel rows put mass 1 - 3e-4
+    on different symbols, so walks from different states under the same
+    uniforms rarely meet."""
+    values = np.full((16, 4), math.log(1e-4))
+    values[np.arange(16), (3 * np.arange(16) + 1) % 4] = 0.0
+    phi = bt.normalize_potential(bt.MarkovPotential(4, 3, values.ravel()))[0]
+    return bt.pressure(phi, 1.0)
+
+
 @pytest.fixture(scope="module")
 def random_spectra():
     rng = np.random.default_rng(2004)
@@ -81,9 +127,10 @@ def random_spectra():
 @pytest.mark.parametrize("R", [1, 3, 64])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("A", [2, 3, 4])
-def test_sampler_matches_step_by_step_reference(random_spectra, A, k, R):
-    # lengths k-1, k, one step either side of a chunk, and 3 chunks + 37;
-    # a path of length n is the prefix of a longer one on the same streams
+def test_sampler_matches_step_by_step_reference(random_spectra, small_chunks, A, k, R):
+    # lengths k-1, k, one step either side of a chunk, and 3 chunks + 37,
+    # under a small chunk budget so that the paths stay short; a path of
+    # length n is the prefix of a longer one on the same streams
     sd = random_spectra[(A, k)]
     t_chunk = _chunk_shape(A ** (k - 1), R, 1 << 62)[1]
     lengths = [k - 1, k, k - 1 + t_chunk - 1, k - 1 + t_chunk + 1, k - 1 + 3 * t_chunk + 37]
@@ -92,6 +139,68 @@ def test_sampler_matches_step_by_step_reference(random_spectra, A, k, R):
         got = bt.sample_paths(sd, n, 77, R, replica_offset=5)
         assert got.dtype == ref.dtype and got.shape == (R, n)
         np.testing.assert_array_equal(got, ref[:, :n], err_msg=f"n={n}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    A=st.integers(2, 4),
+    k=st.integers(1, 4),
+    R=st.sampled_from([1, 2, 3, 7, 64, 130]),
+    offset=st.integers(0, 1000),
+    chunks=st.sampled_from([1, 3, 0, 2]),
+    extra=st.integers(0, 80),
+    draw=st.integers(0, 2**32 - 1),
+    rare=st.integers(0, 3),
+)
+def test_sampler_matches_reference_property(A, k, R, offset, chunks, extra, draw, rare):
+    # random shapes and replica ranges under a small chunk budget; the paths
+    # run ``chunks`` whole chunks plus ``extra`` steps, so they cross lane,
+    # chunk and replica-group ends; ``rare`` potential entries sit at
+    # ln 1e-9, which puts kernel entries near 1e-9
+    rng = np.random.default_rng(draw)
+    values = rng.normal(size=A**k)
+    values[rng.choice(A**k, size=min(rare, A**k - 1), replace=False)] = math.log(1e-9)
+    sd = bt.pressure(bt.normalize_potential(bt.MarkovPotential(A, k, values))[0], 1.0)
+    seed = int(rng.integers(1 << 63))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in SMALL_CHUNKS.items():
+            mp.setattr(simulate, name, value)
+        n = k - 1 + chunks * _chunk_shape(A ** (k - 1), R, 1 << 62)[1] + extra
+        got = bt.sample_paths(sd, n, seed, R, replica_offset=offset)
+    np.testing.assert_array_equal(got, reference_paths(sd, n, seed, R, offset))
+
+
+@pytest.mark.parametrize(
+    "sd, R",
+    [
+        (bt.pressure(bt.MarkovPotential(2, 2, np.log([1e-3, 1 - 1e-3, 1 - 1e-3, 1e-3])), 1.0), 1),
+        (_peaked_spectrum(), 3),
+    ],
+    ids=["near-periodic", "peaked-V16"],
+)
+def test_sampler_stitches_lanes_that_never_meet(monkeypatch, small_chunks, sd, R):
+    # a near-periodic chain (walks from the two states meet with probability
+    # 2e-3 per step) and a V = 16 kernel whose rows peak on different
+    # symbols: lanes are still open at the end of every chunk
+    log = _log_walks(monkeypatch)
+    n = sd.potential.k - 1 + 3 * _chunk_shape(sd.kernel.shape[0], R, 1 << 62)[1] + 37
+    got = bt.sample_paths(sd, n, 21, R, replica_offset=2)
+    assert len(log) >= 3 and all(chunk[-1] > 0 for chunk in log)
+    np.testing.assert_array_equal(got, reference_paths(sd, n, 21, R, replica_offset=2))
+
+
+def test_sampler_closes_lanes_that_meet(monkeypatch, small_chunks):
+    # rows that are all the same law: every walk emits the symbol its
+    # uniform picks, so the walks of a lane meet after one step and the
+    # lane starts are assigned in one step, with no stitch
+    iid = bt.potential_from_config({"type": "markov", "transition": [[0.2, 0.3, 0.5]] * 3})
+    sd = bt.pressure(iid, 1.0)
+    log = _log_walks(monkeypatch)
+    n = 1 + 3 * _chunk_shape(3, 2, 1 << 62)[1] + 37
+    got = bt.sample_paths(sd, n, 8, 2)
+    assert len(log) >= 3
+    assert all(chunk[0] > 0 and not any(chunk[1:]) for chunk in log)
+    np.testing.assert_array_equal(got, reference_paths(sd, n, 8, 2))
 
 
 def test_batch_matches_single_and_offset(chain_spectral):
@@ -206,10 +315,11 @@ def test_sample_paths_validation(chain_spectral):
 
 
 def test_long_path_chunk_boundary(chain_spectral):
-    # a long single path crosses several chunks; it must match the
-    # step-by-step oracle and the digest that oracle produced
+    # a long single path crosses a chunk end at the default chunk budget;
+    # it must match the step-by-step oracle and the digest that oracle
+    # produced
     t_chunk = _chunk_shape(2, 1, 1 << 62)[1]
-    n = 3 * t_chunk + 37
+    n = t_chunk + 37
     x = bt.sample_paths(chain_spectral, n, seed=13)
     np.testing.assert_array_equal(x, reference_paths(chain_spectral, n, seed=13))
     pinned = bt.sample_paths(chain_spectral, 8192 + 37, seed=13)[0]
@@ -224,6 +334,27 @@ def test_sampler_memory_is_bounded():
     phi = bt.normalize_potential(bt.MarkovPotential(4, 3, rng.normal(size=64)))[0]
     sd = bt.pressure(phi, 1.0)
     n = 1 << 20
+    tracemalloc.start()
+    try:
+        x = bt.sample_paths(sd, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes == n
+    assert peak - x.nbytes < 4 << 20, f"transient peak {peak - x.nbytes} bytes"
+
+
+def test_sampler_memory_is_bounded_when_lanes_never_meet(monkeypatch):
+    # the worst case of the walk's kept V-wide symbols: a V = 16 kernel
+    # whose lanes are still open at the end of a chunk at the default
+    # budget; the transient stays under the same bound.  Two chunks show
+    # the peak.
+    sd = _peaked_spectrum()
+    log = _log_walks(monkeypatch)
+    bt.sample_paths(sd, 2 + _chunk_shape(16, 1, 1 << 62)[1], seed=1)
+    assert len(log) == 1 and log[0][-1] > 0
+    monkeypatch.undo()
+    n = 1 << 18
     tracemalloc.start()
     try:
         x = bt.sample_paths(sd, n, seed=1)
