@@ -15,7 +15,17 @@ that is a divergence signal, not an overflow.
 The count scorers read a sample's law off its cyclic k-block counts:
 row r of a count matrix is the type of one sample, and its law is
 counts[r] / counts[r].sum(), so the sample length n is never passed
-beside the counts.
+beside the counts; counts must be nonnegative integers.
+
+There is one scorer, and it scores many laws at once: the rows' positive
+entries are laid end to end, each elementwise step is one array call over
+all of them, and each row's sum runs over its own positive entries in
+code order.  To keep every sum bitwise the 1-D sum of that row, the rows
+are grouped by their number of positive entries: numpy sums a contiguous
+run pairwise in blocks that depend on its length, so a group's runs are
+gathered into one C-contiguous (G, m) block and summed along its rows.
+A single law (conditional_block_entropy, measure_functional) is a one-row
+matrix of the same scorer.
 
 The deviation machinery names four functionals (MEASURE_FUNCTIONALS):
 h_k, H_k/k, Delta_k and D_k/k.  One table says which column of
@@ -47,50 +57,89 @@ __all__ = [
 ]
 
 
-def _entropy(w: np.ndarray) -> float:
-    """-sum w ln w over the positive entries of w, summed in code order."""
-    p = w[w > 0]
-    return float(-(p * np.log(p)).sum())
-
-
-def _divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p ln(p/q) over the positive entries of p; +inf off q's support."""
-    pos = p > 0
-    if np.any(q[pos] <= 0):
-        return math.inf
-    return float((p[pos] * (np.log(p[pos]) - np.log(q[pos]))).sum())
-
-
 def _reference(
     rho: BlockDistribution, alphabet_size: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of a reference k-block law and of its right marginal."""
+    """Logs of the weights of a reference k-block law and of its right
+    marginal (ln 0 = -inf, which makes a divergence +inf)."""
     if (rho.alphabet_size, rho.k) != (alphabet_size, k):
         raise ValueError("distributions live on different block spaces")
-    return rho.weights, rho.weights.reshape(-1, alphabet_size).sum(axis=1)
+    lower = rho.weights.reshape(-1, alphabet_size).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(rho.weights), np.log(lower)
 
 
-def _row_functionals(
+def _row_sums(terms: np.ndarray, lengths: Optional[np.ndarray]) -> np.ndarray:
+    """The sum of each row's run of ``terms``, where the runs of the rows
+    lie end to end and row r's run has ``lengths[r]`` entries (None: one
+    row); each sum is bitwise the 1-D ``.sum()`` of its run.
+
+    numpy sums a contiguous run pairwise, in blocks that depend on its
+    length.  So the runs of one length are gathered into a C-contiguous
+    (G, m) block, and its sum along axis 1 (``np.add.reduce``, which
+    ``.sum`` calls) sums each row as that 1-D sum does; padding rows to a
+    common length would move the pairwise blocks, and ``np.add.reduceat``
+    sums sequentially.  A length held by one row is summed as a slice, so
+    rows of all different lengths cost one call each.
+    """
+    if lengths is None:
+        return np.add.reduce(terms, keepdims=True)
+    ends = np.cumsum(lengths)
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    out = np.empty(lengths.size)
+    for rows in np.split(order, cuts):
+        m = int(lengths[rows[0]])
+        if rows.size == 1:
+            end = int(ends[rows[0]])
+            out[rows[0]] = np.add.reduce(terms[end - m : end])
+        else:
+            block = terms[(ends[rows] - m)[:, None] + np.arange(m)]
+            out[rows] = np.add.reduce(block, axis=1)
+    return out
+
+
+def _support_sums(
+    w: np.ndarray, log_ref: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per row of the (R, N) weights ``w``: the sum of p ln p over its
+    positive entries p (the entropy with its sign flipped), and the sum of
+    p (ln p - ln q) against ``log_ref`` = ln q if given (+inf where q = 0
+    under a positive p), each summed in code order."""
+    positive = w > 0
+    at = positive.ravel().nonzero()[0]  # the rows' positive entries, end to end
+    p = w.take(at)
+    log_p = np.log(p)
+    lengths = None if w.shape[0] == 1 else np.add.reduce(positive, axis=1)
+    plogp = _row_sums(p * log_p, lengths)
+    if log_ref is None:
+        return plogp, None
+    log_q = np.tile(log_ref, w.shape[0]).take(at)
+    return plogp, _row_sums(p * (log_p - log_q), lengths)
+
+
+def _law_functionals(
     w: np.ndarray,
     alphabet_size: int,
     k: int,
     ref: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[float, ...]:
-    """(H_k, h_k) of one row of block weights, then (D_k, Delta_k) against
-    ``ref`` if given; the (k-1)-terms use the right marginals (last symbol
-    summed out), and are 0 for k = 1."""
-    lower = w.reshape(-1, alphabet_size).sum(axis=1)
-    hk = _entropy(w)
-    values = (hk, hk if k == 1 else hk - _entropy(lower))
-    if ref is None:
-        return values
-    dk = _divergence(w, ref[0])
+) -> list[np.ndarray]:
+    """The columns H_k and h_k over the rows of an (R, A**k) matrix of
+    block laws, then D_k and Delta_k against the logs ``ref`` if given.
+    The (k-1)-terms use the right marginals (last symbol summed out), and
+    are 0 for k = 1; Delta_k is +inf when D_k and D_{k-1} are.  With S the
+    sums of p ln p, h_k = -S_k - (-S_{k-1}) is S_{k-1} - S_k, bit for bit."""
+    sk, dk = _support_sums(w, None if ref is None else ref[0])
+    hk = -sk
     if k == 1:
-        return values + (dk, dk)
-    dkm1 = _divergence(lower, ref[1])
-    if math.isinf(dk) and math.isinf(dkm1):
-        return values + (dk, math.inf)
-    return values + (dk, dk - dkm1)
+        return [hk, hk] if ref is None else [hk, hk, dk, dk]
+    lower = np.add.reduce(w.reshape(w.shape[0], -1, alphabet_size), axis=2)
+    skm1, dkm1 = _support_sums(lower, None if ref is None else ref[1])
+    if ref is None:
+        return [hk, skm1 - sk]
+    delta = np.full_like(dk, math.inf)
+    np.subtract(dk, dkm1, out=delta, where=~(np.isinf(dk) & np.isinf(dkm1)))
+    return [hk, skm1 - sk, dk, delta]
 
 
 def conditional_block_entropy(nu: BlockDistribution) -> float:
@@ -99,7 +148,7 @@ def conditional_block_entropy(nu: BlockDistribution) -> float:
     For the k-marginal of a (k-1)-step Markov measure this equals the
     entropy rate of the process.
     """
-    return _row_functionals(nu.weights, nu.alphabet_size, nu.k)[1]
+    return float(_law_functionals(nu.weights[None], nu.alphabet_size, nu.k)[1][0])
 
 
 def functionals_from_counts(
@@ -113,24 +162,33 @@ def functionals_from_counts(
     the row's total n is its sample's length (a row that counts nothing
     raises ValueError), then D_k and Delta_k against ``rho_k`` when one is
     given: shape (R, 2) or (R, 4), columns in :class:`EntropyRecord` order.
-    A functional of the counts depends only on the type, so each distinct
-    row is evaluated once and the values are gathered back.  Every sum runs
-    over the nonzero entries of its row, in code order, exactly as
-    :func:`conditional_block_entropy` and :func:`measure_functional` sum,
-    so each value is bitwise the one they give for that row's law.
+    Raises ValueError when a count is negative or not an integer.
+
+    A functional of the counts depends only on the type, so the distinct
+    rows are scored together, once each, and the values are gathered back.
+    Every sum runs over the nonzero entries of its row, in code order, as
+    :func:`conditional_block_entropy` and :func:`measure_functional` sum;
+    rows are grouped by their number of nonzero entries, and each group is
+    summed as one C-contiguous block, so each value is bitwise the one
+    they give for that row's law (see the module docstring).
     """
     counts = np.asarray(counts)
     alphabet_size = round(counts.shape[-1] ** (1.0 / k))
     if counts.ndim != 2 or alphabet_size**k != counts.shape[-1]:
         raise ValueError(f"expected an (R, A**{k}) matrix of block counts")
+    integral = counts.dtype.kind in "biu" or (
+        counts.dtype.kind == "f"
+        and bool(np.all(np.isfinite(counts) & (np.trunc(counts) == counts)))
+    )
+    if not integral or np.any(counts < 0):
+        raise ValueError("block counts must be nonnegative integers")
     ref = None if rho_k is None else _reference(rho_k, alphabet_size, k)
     distinct, inverse = _distinct_rows(counts)
-    if not np.all(distinct.sum(axis=1) > 0):
+    totals = distinct.sum(axis=1, keepdims=True)
+    if not np.all(totals > 0):
         raise ValueError("every row of block counts must count some window")
-    values = np.array(
-        [_row_functionals(row / row.sum(), alphabet_size, k, ref) for row in distinct]
-    )
-    return values[inverse]
+    columns = _law_functionals(distinct / totals, alphabet_size, k, ref)
+    return np.stack(columns, axis=1)[inverse]
 
 
 @dataclass(frozen=True)
@@ -228,5 +286,6 @@ def measure_functional(
     relative one is +inf when nu charges a word that ``rho_k`` does not."""
     column, per_symbol, rho_k = _functional(name, rho_k)
     ref = None if rho_k is None else _reference(rho_k, nu.alphabet_size, nu.k)
-    value = _row_functionals(nu.weights, nu.alphabet_size, nu.k, ref)[column]
+    columns = _law_functionals(nu.weights[None], nu.alphabet_size, nu.k, ref)
+    value = float(columns[column][0])
     return value / nu.k if per_symbol else value

@@ -380,24 +380,28 @@ def run_lln(config: ExperimentConfig) -> LdpReport:
     replica gets its own recorded seed, and the per-replica records carry
     all four plug-in estimates against the exact equilibrium k-blocks.
     """
-    return _run_lln(config, _effective_spectral(config)[1])
+    return _run_lln(config, _effective_spectral(config)[1])[0]
 
 
-def _run_lln(config: ExperimentConfig, sd: SpectralData) -> LdpReport:
-    """:func:`run_lln` on the config's resolved spectrum ``sd``."""
+def _run_lln(
+    config: ExperimentConfig, sd: SpectralData
+) -> tuple[LdpReport, list[np.ndarray]]:
+    """:func:`run_lln` on the config's resolved spectrum ``sd``, and the
+    path of replica 0 at each n of the grid."""
     A = sd.potential.alphabet_size
     samples: list[SampleRow] = []
     summaries: list[LlnSummary] = []
+    first_paths: list[np.ndarray] = []
     for n in config.n_grid:
         k = block_schedule(n, A, config.epsilon)
         rho_k = equilibrium_blocks(sd, k)
         seed_n = _stage_seed(config.seed, _STAGE_LLN, n)
-        values = np.concatenate(
-            [
-                functionals_from_counts(block_counts(paths, k, A), k, rho_k)
-                for paths in _replica_groups(sd, n, seed_n, config.replicas)
-            ]
-        )
+        parts = []
+        for paths in _replica_groups(sd, n, seed_n, config.replicas):
+            parts.append(functionals_from_counts(block_counts(paths, k, A), k, rho_k))
+            if len(parts) == 1:
+                first_paths.append(paths[0].copy())
+        values = np.concatenate(parts)
         samples.extend(
             SampleRow(n, k, r, (seed_n ^ r) & _MASK64, EntropyRecord(n, k, *row))
             for r, row in enumerate(values.tolist())
@@ -414,7 +418,8 @@ def _run_lln(config: ExperimentConfig, sd: SpectralData) -> LdpReport:
                 reference_entropy=sd.entropy,
             )
         )
-    return LdpReport(config=config, samples=tuple(samples), lln=tuple(summaries))
+    report = LdpReport(config=config, samples=tuple(samples), lln=tuple(summaries))
+    return report, first_paths
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -668,12 +673,12 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     Stages: the LLN pass over the n-grid, the theory columns and h_inf
     (``_theory``), the three-way SCGF table over the t-grid, the rate table
     (empirical histogram points at the largest n merged with the theory
-    grid), one decomposition audit per n (replica 0's path, bitwise the same
-    as the LLN run), and the variance audit.
+    grid), one decomposition audit per n (on replica 0's path, kept from
+    the LLN pass), and the variance audit.
     """
     phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
-    lln_report = _run_lln(config, sd)
+    lln_report, first_paths = _run_lln(config, sd)
 
     n_max = config.n_grid[-1]
     cond_values = [
@@ -722,9 +727,8 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     ]
 
     audit_rows = [
-        decomposition_audit(sample_paths(sd, row.n, row.seed, 1)[0], phi, row.k, sd)
-        for row in lln_report.samples
-        if row.replica == 0
+        decomposition_audit(x, phi, row.k, sd)
+        for x, row in zip(first_paths, lln_report.lln)
     ]
 
     var_audit = variance_audit(

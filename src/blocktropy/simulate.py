@@ -5,7 +5,10 @@ initial (k-1)-word comes from the stationary state law, then one appended
 symbol per step by inverse-CDF lookup.  Replica r of a batch uses an
 independent generator seeded ``seed XOR r`` (numpy PCG64) and consumes it
 in a fixed order -- one draw for the start, then one uniform per step -- so
-batched and one-at-a-time runs are bitwise identical.
+batched and one-at-a-time runs are bitwise identical.  The generators of a
+batch are seeded in one pass: numpy's SeedSequence hash runs over all the
+replicas' seeds as array operations, and each PCG64 takes its words from
+that pass, so its state is the one ``default_rng(seed ^ r)`` would build.
 
 Each step's uniform fixes a map from the V = A**(k-1) word states to
 themselves, and walks driven by the same uniforms agree once they meet
@@ -23,6 +26,8 @@ so memory stays bounded for any path length.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 
 import numpy as np
@@ -49,6 +54,14 @@ _CHUNK_SYMBOLS = 1 << 17
 _CHUNK_CELLS = 1 << 22
 _LANE_CELLS = 1 << 14
 _MIN_LANE = 64
+#: numpy's SeedSequence hash constants (see :func:`_pcg64_seed_words`).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Symbols per block of :func:`birkhoff_sums`.
+_BIRKHOFF_SYMBOLS = 1 << 16
 
 
 def sample_paths(
@@ -64,7 +77,11 @@ def sample_paths(
     ``numpy.random.default_rng(seed ^ (replica_offset + r))``; it draws one
     ``random()`` for its start word from the stationary state law, then one
     uniform per step, in order.  The offset lets callers process a large
-    replica range in memory-bounded groups without changing any path.
+    replica range in memory-bounded groups without changing any path.  The
+    generators are not built one ``default_rng`` at a time: one pass of
+    numpy's SeedSequence hash over all R seeds gives each PCG64 its seed
+    words (:func:`_pcg64_seed_words`), the same streams at a fraction of
+    the cost.
     Raises ValueError when n is not an integer >= k-1, when the seed is not
     an integer that fits in 64 bits, when ``replicas`` is not an integer
     >= 1 or ``replica_offset`` not an integer >= 0, or when a kernel row
@@ -124,12 +141,10 @@ def sample_paths(
     cdf = np.cumsum(sd.kernel[:, :-1], axis=1)
     place = A ** np.arange(k - 2, -1, -1, dtype=np.int64)
     group, t_chunk = _chunk_shape(V, R, n - (k - 1))
+    words = _pcg64_seed_words(seed, replica_offset, R)
     for lo in range(0, R, group):
         hi = min(lo + group, R)
-        gens = [
-            np.random.default_rng((seed ^ (replica_offset + r)) & 0xFFFFFFFFFFFFFFFF)
-            for r in range(lo, hi)
-        ]
+        gens = _generators(words[lo:hi])
         if k >= 2:
             draws = np.array([g.random() for g in gens])
             states = np.minimum(np.searchsorted(cum_q, draws, side="right"), V - 1)
@@ -141,6 +156,74 @@ def sample_paths(
             start = out[lo:hi, pos - (k - 1) : pos].astype(np.int64) @ place
             out[lo:hi, pos : pos + t] = _walk_chunk(cdf, start, gens, t)
     return out
+
+
+def _pcg64_seed_words(seed: int, offset: int, count: int) -> np.ndarray:
+    """The (count, 4) uint64 words that ``default_rng(seed ^ r)`` seeds its
+    PCG64 with, for r = offset ... offset+count-1 (mod 2**64).
+
+    numpy's ``SeedSequence`` hash over all replicas at once: the uint32
+    entropy words (low, high) of each 64-bit seed (an int below 2**32,
+    one word, hashes like (x, 0)) go through the hashmix/mix rounds of its
+    4-word pool, and ``generate_state(4, uint64)`` reads 8 words off the
+    pool.  The hash constants do not depend on the data, so each round is
+    one array operation over the replicas; uint32 arithmetic wraps as the C
+    code does.
+    """
+    r = np.uint64(offset & _MASK64) + np.arange(count, dtype=np.uint64)
+    entropy = r ^ np.uint64(seed)
+    const = _HASH_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return out ^ out >> 16
+
+    zero = np.zeros(count, dtype=np.uint32)
+    low = (entropy & np.uint64(_MASK32)).astype(np.uint32)
+    high = (entropy >> np.uint64(32)).astype(np.uint32)
+    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = _HASH_INIT_B
+    state = np.empty((count, 8), dtype="<u4")
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        value = value * const
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeded() -> type:
+    """A ``SeedSequence`` stand-in that hands PCG64 precomputed words.  Made
+    on first use, so importing the package does not import numpy.random."""
+
+    class Seeded(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("precomputed words serve PCG64 seeding only")
+            return self.words
+
+    return Seeded
+
+
+def _generators(words: np.ndarray) -> list:
+    """One ``Generator(PCG64)`` per row of :func:`_pcg64_seed_words`."""
+    seeded = _seeded()
+    return [np.random.Generator(np.random.PCG64(seeded(w))) for w in words]
 
 
 def _chunk_shape(V: int, R: int, steps: int) -> tuple[int, int]:
@@ -221,9 +304,23 @@ def birkhoff_sums(paths: np.ndarray, phi: MarkovPotential) -> np.ndarray:
     """Windowed running sum of phi along each row of an (R, n) batch of
     paths: the sum over the n-k+1 contiguous k-windows (no wraparound,
     unlike the estimators' cyclic counts).  A single path of shape (n,)
-    gives a 0-d array."""
-    codes = window_codes(paths, phi.k, phi.alphabet_size)
-    return phi.values[codes].sum(axis=-1)
+    gives a 0-d array; any leading shape is kept.
+
+    The rows are taken in blocks of at most ``_BIRKHOFF_SYMBOLS`` (2**16)
+    symbols (one row when a row is longer), so the window codes and the
+    gathered values stay small for any batch.  Each row is still summed as
+    one contiguous row of a (G, n-k+1) block, which numpy sums pairwise
+    exactly as it sums the row on its own.
+    """
+    paths = np.asarray(paths)
+    n = paths.shape[-1]
+    rows = paths.reshape(math.prod(paths.shape[:-1]), n)
+    step = max(1, _BIRKHOFF_SYMBOLS // max(n, 1))
+    sums = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        codes = window_codes(rows[lo : lo + step], phi.k, phi.alphabet_size)
+        sums[lo : lo + step] = phi.values.take(codes).sum(axis=1)
+    return sums.reshape(paths.shape[:-1])
 
 
 def write_path_file(

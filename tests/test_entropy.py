@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
 from conftest import CHAIN_CONFIG
@@ -176,6 +177,47 @@ def test_functionals_from_counts_is_bitwise_plug_in(A, k):
                 assert row == fields
             infinite += int(np.isinf(values).sum())
     assert infinite > 0
+
+
+#: (A, k) with A**k in {2, 3, 4, 8, 9, 16, 27, 64, 256, 1024}
+BLOCK_SPACES = [
+    (2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (3, 2), (2, 4), (4, 2),
+    (3, 3), (2, 6), (4, 3), (2, 8), (4, 4), (2, 10),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    space=st.sampled_from(BLOCK_SPACES),
+    rows=st.sampled_from([1, 2, 5, 17, 40]),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_functionals_from_counts_matches_per_row_sums_property(space, rows, draw):
+    # the batched scorer groups rows by their number of positive counts;
+    # each value must still be the per-distribution sum, bit for bit, for
+    # rows of mixed support sizes (1 to A**k positives), repeated rows,
+    # one-row calls and references that miss words (+inf)
+    A, k = space
+    rng = np.random.default_rng(draw)
+    N = A**k
+    density = rng.uniform(0.0, 1.0, size=(rows, 1))
+    counts = rng.integers(1, 1000, size=(rows, N)) * (rng.random((rows, N)) < density)
+    counts[np.arange(rows), rng.integers(0, N, size=rows)] += 1  # no empty row
+    if rows > 2:
+        counts[-1] = counts[0]
+    weights = rng.random(N) * (rng.random(N) < rng.uniform(0.5, 1.0))
+    weights[rng.integers(0, N)] += 1.0
+    rho = bt.BlockDistribution(A, k, weights / weights.sum())
+    for ref in (None, rho):
+        values = bt.functionals_from_counts(counts, k, ref)
+        assert values.shape == (rows, 2 if ref is None else 4)
+        for r in range(rows):
+            expected = _per_distribution_functionals(
+                counts[r], int(counts[r].sum()), A, k, ref
+            )
+            assert tuple(values[r].tolist()) == expected
+        one = bt.functionals_from_counts(counts[-1:], k, ref)
+        assert one.tolist() == values[-1:].tolist()
 
 
 def test_functionals_from_counts_reads_each_row_length():

@@ -141,6 +141,18 @@ GUARDS = {
         ValueError,
         "matrix of block counts",
     ),
+    "functionals-negative-count": (
+        lambda: bt.functionals_from_counts(np.array([[3, -1, 2, 0]]), 2),
+        ValueError,
+        "nonnegative integers",
+    ),
+    "functionals-fractional-count": (
+        lambda: bt.functionals_from_counts(
+            np.array([[1.5, 0.5, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0]]), 2
+        ),
+        ValueError,
+        "nonnegative integers",
+    ),
     "continuity-delta": (
         lambda: bt.continuity_bound(-0.1, 2, 2), ValueError, "nonnegative"
     ),

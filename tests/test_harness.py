@@ -380,15 +380,17 @@ def test_variance_audit_constant_potential():
 
 
 def test_variance_audit_memory_is_bounded(chain_potential, chain_spectral):
-    # replicas run in groups of about 2**20 symbols; as one group of 2**22
-    # symbols, this call's window codes and potential gather peaked near 69 MiB
+    # replicas run in groups of about 2**20 symbols, and Birkhoff sums in
+    # blocks of 2**16; as one group of 2**22 symbols, this call's window
+    # codes and potential gather peaked near 69 MiB, and with whole groups
+    # of 2**20 symbols near 17 MiB (about 4-5 MiB in blocks)
     tracemalloc.start()
     try:
         bt.variance_audit(chain_potential, 2**16, 64, seed=1, sd=chain_spectral)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 << 20, f"peak {peak} bytes"
+    assert peak < 8 << 20, f"peak {peak} bytes"
 
 
 def test_run_lln_structure(chain_spectral):

@@ -7,7 +7,10 @@ import importlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import blocktropy as bt
@@ -125,3 +128,14 @@ def test_example_csv_pins_agree_with_the_benchmark():
     # re-pin of one alone would pass here and fail the benchmark
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     assert expected["ldp_example_csv_sha256"] == EXAMPLE_CSV_SHA256
+
+
+def test_import_does_not_load_numpy_random():
+    # the sampler builds its generators from numpy.random on first use, so
+    # importing the package leaves that module (about 16 ms) unloaded
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, blocktropy; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

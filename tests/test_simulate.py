@@ -268,6 +268,50 @@ def test_birkhoff_sum_hand_value(chain_potential):
     np.testing.assert_allclose(batch, [expected, 3 * v[0]], atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(), (1,), (7,), (2, 3)],
+    ids=["one-path", "one-row", "seven-rows", "2x3-rows"],
+)
+@pytest.mark.parametrize("n", [5, 10_000, (1 << 16) + 5])
+def test_birkhoff_sums_of_a_batch_are_each_rows_sum(n, shape):
+    # blocks of 2**16 symbols: at n = 10_000 a block holds 6 rows, so 7 rows
+    # end in a short block; beyond 2**16 a block holds one row.  Every row
+    # sums bitwise as the unblocked gather over its windows did, and the
+    # leading shape is kept
+    rng = np.random.default_rng(n)
+    phi = bt.MarkovPotential(3, 3, rng.normal(size=27))
+    paths = rng.integers(0, 3, size=shape + (n,))
+    got = bt.birkhoff_sums(paths, phi)
+    assert got.shape == shape
+    for index in np.ndindex(shape):
+        x = paths[index]
+        row = phi.values[bt.window_codes(x, 3, 3)].sum()
+        assert got[index] == row
+        assert bt.birkhoff_sums(x, phi) == row
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+    offset=st.one_of(
+        st.integers(0, 5000), st.integers(2**32 - 40, 2**32 + 40), st.integers(0, 2**70)
+    ),
+    count=st.sampled_from([1, 2, 7, 64]),
+)
+def test_replica_generators_match_default_rng_property(seed, offset, count):
+    # the one-pass SeedSequence hash builds every replica's PCG64 in the
+    # state default_rng(seed ^ r) gives it, r = offset ... offset+count-1
+    gens = simulate._generators(simulate._pcg64_seed_words(seed, offset, count))
+    assert len(gens) == count
+    for r, g in enumerate(gens):
+        ref = np.random.default_rng((seed ^ (offset + r)) & 0xFFFFFFFFFFFFFFFF)
+        assert g.bit_generator.state == ref.bit_generator.state
+
+
 def test_path_file_round_trip(tmp_path, chain_spectral):
     x = bt.sample_paths(chain_spectral, 1000, seed=99)[0]
     target = tmp_path / "path.bin"
