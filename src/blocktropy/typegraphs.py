@@ -5,14 +5,16 @@ de Bruijn graph whose vertices are (k-1)-words and whose arcs are k-words
 (arc w goes from prefix(w) to suffix(w)).  Balance (in-degree = out-degree
 at every vertex) is exactly stationarity of the normalized table, and a
 *connected* balanced table is the cyclic type of an actual sample, realized
-by reading an Eulerian circuit.
+by reading an Eulerian circuit (Hierholzer, 1873).
 
 This module provides: exhaustive type enumeration (small n), exact type
 class sizes in closed form by the BEST theorem (van Aardenne-Ehrenfest and
 de Bruijn, 1951) with Tutte's matrix-tree theorem, the factorial / entropy
-sandwich bounds, deterministic Eulerian realization, rounding of an
-arbitrary stationary law to a nearby realizable type, and the decomposition
-of a stationary law into a convex combination of simple-cycle measures.
+sandwich bounds, deterministic Eulerian realization (one sweep that reads
+every component of a table in turn), rounding of an arbitrary stationary
+law to the type of the sample its rounded table realizes, and the
+decomposition of a stationary law into a convex combination of
+simple-cycle measures.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
     "CountTable",
     "CycleMeasure",
     "TypeSizeBounds",
-    "components",
     "cycle_decompose",
     "enumerate_strings_chunk",
     "enumerate_types",
@@ -101,71 +102,44 @@ class CountTable:
         return BlockDistribution(self.alphabet_size, self.k, self.counts / self.n)
 
 
-def components(table: CountTable) -> list[list[int]]:
-    """Weakly-connected components of the support multigraph.
-
-    Only vertices with nonzero degree are considered.  Components are
-    returned as sorted vertex lists, ordered by their smallest vertex.
-    For balanced tables weak and strong connectivity coincide, so each
-    component is the set reached from its smallest vertex.
-    """
-    A, k, counts = table.alphabet_size, table.k, table.counts.tolist()
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for start in np.flatnonzero(table.out_degrees()).tolist():
-        if start not in seen:
-            comp = sorted(_support_bfs(counts, start, A, k))
-            seen.update(comp)
-            comps.append(comp)
-    return comps
-
-
-def _eulerian_circuit_arcs(table: CountTable, start: int) -> list[int]:
-    """Arc codes of an Eulerian circuit through ``start``'s component.
-
-    Deterministic: at every vertex the smallest available appended symbol is
-    taken first; arcs are recorded on retreat (classic stack form of
-    Hierholzer's method) and reversed.
-    """
-    A, V = table.alphabet_size, table.vertex_count
-    rem = table.counts.reshape(V, A).copy()
-    ptr = np.zeros(V, dtype=np.int64)
-    stack: list[tuple[int, int]] = [(start, -1)]
-    out: list[int] = []
-    while stack:
-        u, arrived_by = stack[-1]
-        b = int(ptr[u])
-        while b < A and rem[u, b] == 0:
-            b += 1
-        ptr[u] = b
-        if b == A:
-            stack.pop()
-            if arrived_by >= 0:
-                out.append(arrived_by)
-        else:
-            rem[u, b] -= 1
-            arc = u * A + b
-            stack.append((arc % V, arc))
-    out.reverse()
-    return out
-
-
 def realize_sample(table: CountTable) -> np.ndarray:
     """A sample whose cyclic k-block counts reproduce ``table``.
 
-    For a connected table the round trip is exact.  A table with m > 1
-    components yields the concatenation of per-component Eulerian samples
-    (components in ascending order of their smallest vertex), whose type
-    differs from table/n by at most k*A**(k-1)/n in total variation — the
+    One Hierholzer sweep (Hierholzer, 1873) reads the table: the vertices
+    are scanned in ascending order, and each one that still has arcs left
+    starts an Eulerian circuit of its component.  Balance makes that
+    circuit use up every arc of the component, so each component is read
+    once, from its smallest vertex, and the circuits are concatenated in
+    that order.  A circuit takes the smallest available appended symbol
+    first at every vertex, records arcs on retreat (the stack form of the
+    method) and is reversed.  For a connected table the round trip is
+    exact.  A table with m > 1 components yields a sample whose type
+    differs from table/n by at most k*A**(k-1)/n in total variation: the
     junctions corrupt at most (k-1) cyclic windows each.
     """
     if table.n == 0:
         raise ValueError("cannot realize an empty count table")
-    A = table.alphabet_size
+    A, V = table.alphabet_size, table.vertex_count
+    rem = table.counts.tolist()
+    nxt = list(range(0, A * V, A))  # the next arc to try at each vertex
     symbols: list[int] = []
-    for comp in components(table):
-        for arc in _eulerian_circuit_arcs(table, comp[0]):
-            symbols.append(arc % A)
+    for start in range(V):
+        stack = [(start, -1)]  # (vertex, symbol it was reached by)
+        circuit: list[int] = []
+        while stack:
+            u, symbol = stack[-1]
+            arc, end = nxt[u], u * A + A
+            while arc < end and rem[arc] == 0:
+                arc += 1
+            nxt[u] = arc
+            if arc == end:
+                stack.pop()
+                if symbol >= 0:
+                    circuit.append(symbol)
+            else:
+                rem[arc] -= 1
+                stack.append((arc % V, arc % A))
+        symbols += reversed(circuit)
     return np.asarray(symbols, dtype=np.int64)
 
 
@@ -398,45 +372,35 @@ def _find_fractional_cycle(
     return path[stops.index(at) :]
 
 
-def _support_bfs(
-    z: list[float], source: int, alphabet_size: int, k: int, target: Optional[int] = None
-) -> dict[int, tuple[int, int]]:
-    """Breadth-first search from ``source`` over the support arcs of ``z``.
-
-    ``z`` lists the arc weights (a list: indexing one is much faster than
-    indexing an array); support arcs are those above 1e-13, and at every
-    vertex the smallest appended symbol is tried first.  Returns, for each
-    vertex reached, the (vertex, arc) that first reached it.  An arc back
-    into ``source`` is recorded but ``source`` is not searched again; the
-    search stops as soon as ``target`` is reached.
-    """
-    A, V = alphabet_size, alphabet_size ** (k - 1)
-    parent: dict[int, tuple[int, int]] = {}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for arc in range(u * A, u * A + A):
-                v = arc % V
-                if z[arc] <= 1e-13 or v in parent:
-                    continue
-                parent[v] = (u, arc)
-                if v == target:
-                    return parent
-                if v != source:
-                    nxt.append(v)
-        frontier = nxt
-    return parent
-
-
 def _shortest_path_arcs(
     z: list[float], source: int, target: int, alphabet_size: int, k: int
 ) -> list[int]:
     """Arc codes of a shortest directed support path source -> target.
 
-    When source == target the path is a shortest cycle through source.
+    A breadth-first search from ``source`` over the support arcs of ``z``
+    (a list of arc weights: indexing one is much faster than indexing an
+    array; support arcs are those above 1e-13) tries the smallest appended
+    symbol first at every vertex and keeps, for each vertex reached, the
+    (vertex, arc) that first reached it.  An arc back into ``source`` is
+    recorded but ``source`` is not searched again, so when source ==
+    target the path is a shortest cycle through source.  The search stops
+    as soon as ``target`` is reached.
     """
-    parent = _support_bfs(z, source, alphabet_size, k, target)
+    A, V = alphabet_size, alphabet_size ** (k - 1)
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = [source]
+    while frontier and target not in parent:
+        nxt = []
+        for u in frontier:
+            for arc in range(u * A, u * A + A):
+                v = arc % V
+                if z[arc] > 1e-13 and v not in parent:
+                    parent[v] = (u, arc)
+                    if v != source:
+                        nxt.append(v)
+            if target in parent:
+                break
+        frontier = nxt
     if target not in parent:
         raise ValueError("support is not strongly connected along the needed path")
     path = []
@@ -479,17 +443,17 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
     that keeps every arc of it between its floor and ceil.  Every round
     makes at least one more arc integral.  Stage 2 repairs any leftover
     total-mass mismatch (surplus units come off along shortest support
-    cycles, then missing units go on the all-zeros self-loop).  Stage 3
-    restores realizability for disconnected supports by round-tripping
-    through an Eulerian concatenation.
+    cycles, then missing units go on the all-zeros self-loop).  In stage 3
+    the result is the cyclic type of the sample :func:`realize_sample`
+    reads off the rounded table: the table itself when it is connected,
+    and a nearby realizable type when its support is disconnected.
 
     The result is realizable and within (k+2)*A**k/n of ``nu`` in total
-    variation.
+    variation.  Raises ValueError unless n is an integer >= k.
     """
+    _require_int("n", n, nu.k)
     if not nu.stationary:
         raise ValueError("round_to_type requires a stationary distribution")
-    if n < nu.k:
-        raise ValueError("need n >= k to realize a k-block type")
     A, k = nu.alphabet_size, nu.k
     target = nu.weights * n
 
@@ -511,7 +475,7 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
             nearest = np.round(z)
             near = np.abs(z - nearest) <= snap_tol
             z[near] = nearest[near]
-            frac = np.abs(z - np.round(z)) > snap_tol
+            frac = ~near
             # a non-loop fractional arc alone at an endpoint is forced to an
             # integer by balance there; round it rather than walk onto it
             free = frac & ~loop
@@ -540,10 +504,7 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
             z[_shortest_support_cycle(z, A, k)] -= 1
         z[0] += n - int(z.sum())
 
-    table = CountTable(A, k, n, z)
-    if len(components(table)) > 1:
-        return empirical_block_measure(realize_sample(table), k, A)
-    return table.to_distribution()
+    return empirical_block_measure(realize_sample(CountTable(A, k, n, z)), k, A)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,16 @@ GUARDS = {
     "enumerate-types-length-float": (
         lambda: bt.enumerate_types(4.0, 2, 2), ValueError, "n must be an integer"
     ),
+    "round-to-type-length-float": (
+        lambda: bt.round_to_type(bt.BlockDistribution(2, 1, [0.3, 0.7]), 10.0),
+        ValueError,
+        "n must be an integer >= 1",
+    ),
+    "round-to-type-length-string": (
+        lambda: bt.round_to_type(UNIFORM_2, "10"),
+        ValueError,
+        "n must be an integer >= 2",
+    ),
     "class-size-mode": (
         lambda: bt.type_class_size(bt.CountTable(2, 2, 4, np.ones(4, int)), "census"),
         ValueError,

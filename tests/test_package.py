@@ -123,6 +123,30 @@ def test_every_defaulted_parameter_is_passed():
     assert not unset, f"defaulted parameters no caller passes: {unset}"
 
 
+def _traced_names() -> dict[str, tuple[str, ...]]:
+    """``WRAPPED`` of the benchmark's span tracer, read from its source:
+    the module is neither imported nor run."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets)
+    )
+
+
+def test_wrapped_names_resolve():
+    # the tracer rebinds these names by string, so a renamed or deleted one
+    # would otherwise only show up in a traced benchmark run
+    missing = []
+    for layer, names in _traced_names().items():
+        module = importlib.import_module(f"blocktropy.{layer}")
+        for name in names:
+            if not callable(getattr(module, name, None)):
+                missing.append(f"blocktropy.{layer}.{name}")
+    assert not missing, f"traced names that are not callables: {missing}"
+
+
 def test_example_csv_pins_agree_with_the_benchmark():
     # the unit tests and the benchmark pin the example CSVs separately; a
     # re-pin of one alone would pass here and fail the benchmark

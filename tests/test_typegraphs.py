@@ -315,11 +315,39 @@ def _union_components(counts, A, k):
     return sorted(groups.values())
 
 
+def _per_component_realization(table):
+    """The realization oracle: a fresh Hierholzer walk per component, from
+    its smallest vertex (components in ascending order of that vertex),
+    smallest available symbol first, arcs recorded on retreat and reversed;
+    the circuits are concatenated."""
+    A, k = table.alphabet_size, table.k
+    V = A ** (k - 1)
+    symbols = []
+    for comp in _union_components(table.counts, A, k):
+        rem = table.counts.reshape(V, A).copy()
+        ptr = np.zeros(V, dtype=np.int64)
+        stack, out = [(comp[0], -1)], []
+        while stack:
+            u, arrived_by = stack[-1]
+            b = int(ptr[u])
+            while b < A and rem[u, b] == 0:
+                b += 1
+            ptr[u] = b
+            if b == A:
+                stack.pop()
+                if arrived_by >= 0:
+                    out.append(arrived_by)
+            else:
+                rem[u, b] -= 1
+                arc = u * A + b
+                stack.append((arc % V, arc))
+        symbols += [arc % A for arc in reversed(out)]
+    return np.asarray(symbols, dtype=np.int64)
+
+
 def test_components_ordering():
-    loops = bt.CountTable(2, 2, 4, np.array([2, 0, 0, 2]))
-    comps = bt.components(loops)
-    assert comps == [[0], [1]]
-    # sums of cycle tables on disjoint vertex sets: several components each
+    # sums of cycle tables on disjoint vertex sets: several components each,
+    # read one after another in ascending order of their smallest vertex
     rng = np.random.default_rng(10)
     multi = 0
     for A, k in ((2, 3), (2, 4), (3, 2), (3, 3)):
@@ -334,9 +362,10 @@ def test_components_ordering():
                 used |= verts
                 counts[list(cycles[i])] += int(rng.integers(1, 4))
             table = bt.CountTable(A, k, int(counts.sum()), counts)
-            comps = bt.components(table)
-            assert comps == _union_components(counts, A, k)
-            multi += len(comps) > 1
+            x = bt.realize_sample(table)
+            assert x.dtype == np.int64
+            np.testing.assert_array_equal(x, _per_component_realization(table))
+            multi += len(_union_components(counts, A, k)) > 1
     assert multi >= 40
 
 
@@ -354,6 +383,10 @@ def test_round_to_type_worked_examples(chain_spectral):
     rho = bt.equilibrium_blocks(chain_spectral, 2)
     out2 = bt.round_to_type(rho, 1000)
     assert bt.tv_distance(out2, rho) <= 4 * 4 / 1000
+    # a connected rounded table comes back as its own normalized counts
+    out3 = bt.round_to_type(bt.BlockDistribution(2, 2, np.full(4, 0.25)), 10)
+    expected = bt.CountTable(2, 2, 10, np.array([2, 3, 3, 2])).to_distribution()
+    assert out3.weights.tobytes() == expected.weights.tobytes()
 
 
 def test_round_to_type_validates():
