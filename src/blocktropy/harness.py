@@ -22,7 +22,7 @@ import numbers
 import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .rates import (
     relative_rate_function,
     relative_scgf,
 )
-from .simulate import RNG_NAME, birkhoff_sums, sample_paths
+from .simulate import RNG_NAME, _replica_groups, birkhoff_sums
 from .typegraphs import _chunked_count_matrices, _too_many_strings
 
 __all__ = [
@@ -356,21 +356,6 @@ class LdpReport:
     audit: tuple[AuditRow, ...] = ()
     variance: Optional[VarianceAudit] = None
     summary: Mapping[str, object] = field(default_factory=dict)
-
-
-def _replica_groups(
-    sd: SpectralData, n: int, seed: int, replicas: int
-) -> Iterator[np.ndarray]:
-    """Yield the paths of consecutive groups of the seeded replicas.
-
-    A group holds about 2**20 symbols, which bounds the memory of the
-    per-window arrays callers build from it.  Replica streams do not depend
-    on the grouping, so the paths are the same for any group size.
-    """
-    group = max(1, (1 << 20) // max(n, 1))
-    for start in range(0, replicas, group):
-        count = min(group, replicas - start)
-        yield sample_paths(sd, n, seed, count, replica_offset=start)
 
 
 def run_lln(config: ExperimentConfig) -> LdpReport:

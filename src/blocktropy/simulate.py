@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +48,9 @@ __all__ = [
 RNG_NAME = "numpy.random.PCG64"
 
 _PATH_MAGIC = b"BKTP"
-#: Budgets of one chunk (see :func:`sample_paths`): G*T symbols, G*T*V
+#: Symbols per group of :func:`_replica_groups` (at least one replica).
+_GROUP_SYMBOLS = 1 << 20
+#: Budgets of one chunk (see :func:`_replica_groups`): G*T symbols, G*T*V
 #: cells of V-wide records, about ``_LANE_CELLS`` V-wide cells per lane step
 #: (so about 2**14 / V lanes), and lanes of at least ``_MIN_LANE`` steps.
 _CHUNK_SYMBOLS = 1 << 17
@@ -59,33 +62,36 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 #: Symbols per block of :func:`birkhoff_sums`.
 _BIRKHOFF_SYMBOLS = 1 << 16
 
 
-def sample_paths(
-    sd: SpectralData,
-    n: int,
-    seed: int,
-    replicas: int = 1,
-    replica_offset: int = 0,
-) -> np.ndarray:
-    """Sample ``replicas`` equilibrium paths of length n as an (R, n) array.
+def sample_paths(sd: SpectralData, n: int, seed: int, replicas: int = 1) -> np.ndarray:
+    """Sample ``replicas`` equilibrium paths of length n as an (R, n) array:
+    the groups of :func:`_replica_groups`, stacked (a lone group is
+    returned as it is, without a copy)."""
+    groups = list(_replica_groups(sd, n, seed, replicas))
+    return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
-    Replica r (globally indexed ``replica_offset + r``) is driven by
-    ``numpy.random.default_rng(seed ^ (replica_offset + r))``; it draws one
-    ``random()`` for its start word from the stationary state law, then one
-    uniform per step, in order.  The offset lets callers process a large
-    replica range in memory-bounded groups without changing any path.  The
-    generators are not built one ``default_rng`` at a time: one pass of
-    numpy's SeedSequence hash over all R seeds gives each PCG64 its seed
-    words (:func:`_pcg64_seed_words`), the same streams at a fraction of
-    the cost.
+
+def _replica_groups(
+    sd: SpectralData, n: int, seed: int, replicas: int
+) -> Iterator[np.ndarray]:
+    """Yield the ``replicas`` equilibrium paths of length n in consecutive
+    (G, n) groups, replica 0 first.
+
+    Replica r is driven by ``numpy.random.default_rng(seed ^ r)``; it draws
+    one ``random()`` for its start word from the stationary state law, then
+    one uniform per step, in order, so a path does not depend on the group
+    that holds it.  The generators are not built one ``default_rng`` at a
+    time: one pass of numpy's SeedSequence hash over all R seeds gives each
+    PCG64 its seed words (:func:`_pcg64_seed_words`), the same streams at a
+    fraction of the cost.  A group holds at most max(1, 2**20 // n)
+    replicas, which bounds the memory of the per-window arrays callers
+    build from it.
     Raises ValueError when n is not an integer >= k-1, when the seed is not
     an integer that fits in 64 bits, when ``replicas`` is not an integer
-    >= 1 or ``replica_offset`` not an integer >= 0, or when a kernel row
-    sums to 1 only beyond 1e-12.
+    >= 1, or when a kernel row sums to 1 only beyond 1e-12.
 
     Algorithm: the steps run in chunks of G replicas by T steps, with
     G*T <= ``_CHUNK_SYMBOLS`` (2**17) and G*T*V <= ``_CHUNK_CELLS`` (2**22)
@@ -129,38 +135,37 @@ def sample_paths(
     if not _is_int(seed) or not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an integer fitting in 64 bits, got {seed!r}")
     _require_int("replicas", replicas, 1)
-    _require_int("replica_offset", replica_offset, 0)
     row_defect = float(np.max(np.abs(sd.kernel.sum(axis=1) - 1.0)))
     if row_defect > 1e-12:
         raise ValueError(f"kernel rows sum to 1 only within {row_defect:.3e}")
     V = A ** (k - 1)
     R = replicas
     dtype = np.int8 if A <= 127 else np.int64
-    out = np.zeros((R, n), dtype=dtype)
     cum_q = np.cumsum(sd.vertex_stationary)
     cdf = np.cumsum(sd.kernel[:, :-1], axis=1)
     place = A ** np.arange(k - 2, -1, -1, dtype=np.int64)
     group, t_chunk = _chunk_shape(V, R, n - (k - 1))
-    words = _pcg64_seed_words(seed, replica_offset, R)
+    group = min(group, max(1, _GROUP_SYMBOLS // max(n, 1)))
+    words = _pcg64_seed_words(seed, R)
     for lo in range(0, R, group):
-        hi = min(lo + group, R)
-        gens = _generators(words[lo:hi])
+        gens = _generators(words[lo : lo + group])
+        out = np.zeros((len(gens), n), dtype=dtype)
         if k >= 2:
             draws = np.array([g.random() for g in gens])
             states = np.minimum(np.searchsorted(cum_q, draws, side="right"), V - 1)
             for j in range(k - 1):
-                out[lo:hi, k - 2 - j] = states % A
+                out[:, k - 2 - j] = states % A
                 states //= A
         for pos in range(k - 1, n, t_chunk):
             t = min(t_chunk, n - pos)
-            start = out[lo:hi, pos - (k - 1) : pos].astype(np.int64) @ place
-            out[lo:hi, pos : pos + t] = _walk_chunk(cdf, start, gens, t)
-    return out
+            start = out[:, pos - (k - 1) : pos].astype(np.int64) @ place
+            out[:, pos : pos + t] = _walk_chunk(cdf, start, gens, t)
+        yield out
 
 
-def _pcg64_seed_words(seed: int, offset: int, count: int) -> np.ndarray:
+def _pcg64_seed_words(seed: int, count: int) -> np.ndarray:
     """The (count, 4) uint64 words that ``default_rng(seed ^ r)`` seeds its
-    PCG64 with, for r = offset ... offset+count-1 (mod 2**64).
+    PCG64 with, for r = 0 ... count-1.
 
     numpy's ``SeedSequence`` hash over all replicas at once: the uint32
     entropy words (low, high) of each 64-bit seed (an int below 2**32,
@@ -170,8 +175,7 @@ def _pcg64_seed_words(seed: int, offset: int, count: int) -> np.ndarray:
     one array operation over the replicas; uint32 arithmetic wraps as the C
     code does.
     """
-    r = np.uint64(offset & _MASK64) + np.arange(count, dtype=np.uint64)
-    entropy = r ^ np.uint64(seed)
+    entropy = np.arange(count, dtype=np.uint64) ^ np.uint64(seed)
     const = _HASH_INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -227,7 +231,7 @@ def _generators(words: np.ndarray) -> list:
 
 
 def _chunk_shape(V: int, R: int, steps: int) -> tuple[int, int]:
-    """(replicas, steps) of one chunk; see :func:`sample_paths`."""
+    """(replicas, steps) of one chunk; see :func:`_replica_groups`."""
     budget = max(1, min(_CHUNK_SYMBOLS, _CHUNK_CELLS // V))
     t_chunk = max(1, min(steps, max(budget // R, budget // 128)))
     return max(1, min(R, budget // t_chunk)), t_chunk
@@ -236,7 +240,7 @@ def _chunk_shape(V: int, R: int, steps: int) -> tuple[int, int]:
 def _walk_chunk(cdf: np.ndarray, start: np.ndarray, gens: list, T: int) -> np.ndarray:
     """The next T symbols of each replica in ``gens`` from word states
     ``start``, drawing T uniforms from each generator; ``cdf`` holds the
-    kernel's first A-1 CDF columns.  See :func:`sample_paths`."""
+    kernel's first A-1 CDF columns.  See :func:`_replica_groups`."""
     V, A = cdf.shape[0], cdf.shape[1] + 1
     G = len(gens)
     # lanes per replica: about _LANE_CELLS / V lanes in all, _MIN_LANE long
@@ -344,7 +348,8 @@ def write_path_file(
 
 
 def read_path_file(path: str) -> tuple[np.ndarray, int, int]:
-    """Inverse of :func:`write_path_file`: returns (symbols, |A|, seed)."""
+    """Inverse of :func:`write_path_file`: returns (symbols, |A|, seed),
+    the symbols as the writable uint8 array the file stores."""
     with open(path, "rb") as fh:
         header = fh.read(28)
         if header[:4] != _PATH_MAGIC:
@@ -352,9 +357,9 @@ def read_path_file(path: str) -> tuple[np.ndarray, int, int]:
         if len(header) != 28:
             raise ValueError("truncated path file")
         alphabet_size, n, seed = struct.unpack("<QQQ", header[4:])
-        data = np.frombuffer(fh.read(n), dtype=np.uint8)
+        data = np.fromfile(fh, dtype=np.uint8, count=n)
     if data.size != n:
         raise ValueError("truncated path file")
     if data.size and int(data.max()) >= alphabet_size:
         raise ValueError("path file contains out-of-alphabet symbols")
-    return data.astype(np.int64), int(alphabet_size), int(seed)
+    return data, int(alphabet_size), int(seed)

@@ -372,19 +372,18 @@ def _find_fractional_cycle(
     return path[stops.index(at) :]
 
 
-def _shortest_path_arcs(
-    z: list[float], source: int, target: int, alphabet_size: int, k: int
-) -> list[int]:
-    """Arc codes of a shortest directed support path source -> target.
+def _support_parents(
+    z: list[float], source: int, alphabet_size: int, k: int, target: int = -1
+) -> dict[int, tuple[int, int]]:
+    """A breadth-first search from ``source`` over the support arcs of
+    ``z`` (a list of arc weights: indexing one is much faster than indexing
+    an array; support arcs are those above 1e-13): for each vertex reached,
+    the (vertex, arc) that first reached it.
 
-    A breadth-first search from ``source`` over the support arcs of ``z``
-    (a list of arc weights: indexing one is much faster than indexing an
-    array; support arcs are those above 1e-13) tries the smallest appended
-    symbol first at every vertex and keeps, for each vertex reached, the
-    (vertex, arc) that first reached it.  An arc back into ``source`` is
-    recorded but ``source`` is not searched again, so when source ==
-    target the path is a shortest cycle through source.  The search stops
-    as soon as ``target`` is reached.
+    The smallest appended symbol is tried first at every vertex.  An arc
+    back into ``source`` is recorded but ``source`` is not searched again.
+    The search stops as soon as ``target`` is reached, and otherwise covers
+    every vertex reachable from ``source``.
     """
     A, V = alphabet_size, alphabet_size ** (k - 1)
     parent: dict[int, tuple[int, int]] = {}
@@ -401,6 +400,17 @@ def _shortest_path_arcs(
             if target in parent:
                 break
         frontier = nxt
+    return parent
+
+
+def _shortest_path_arcs(
+    z: list[float], source: int, target: int, alphabet_size: int, k: int
+) -> list[int]:
+    """Arc codes of a shortest directed support path source -> target,
+    read off :func:`_support_parents`; when source == target the path is
+    a shortest cycle through source.
+    """
+    parent = _support_parents(z, source, alphabet_size, k, target)
     if target not in parent:
         raise ValueError("support is not strongly connected along the needed path")
     path = []
@@ -444,14 +454,19 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
     makes at least one more arc integral.  Stage 2 repairs any leftover
     total-mass mismatch (surplus units come off along shortest support
     cycles, then missing units go on the all-zeros self-loop).  In stage 3
-    the result is the cyclic type of the sample :func:`realize_sample`
-    reads off the rounded table: the table itself when it is connected,
-    and a nearby realizable type when its support is disconnected.
+    a rounded table whose support is connected is returned as it is (it
+    is the type of the sample it realizes); a disconnected one gives the
+    cyclic type of the sample :func:`realize_sample` reads off it, a
+    nearby realizable type.  Only that last case costs O(n).
 
     The result is realizable and within (k+2)*A**k/n of ``nu`` in total
-    variation.  Raises ValueError unless n is an integer >= k.
+    variation.  Raises ValueError unless n is an integer with
+    k <= n <= 2**53 (beyond 2**53 the float targets n*nu are no longer
+    exact integers).
     """
     _require_int("n", n, nu.k)
+    if n > 1 << 53:
+        raise ValueError(f"n must be at most 2**53, got {n}")
     if not nu.stationary:
         raise ValueError("round_to_type requires a stationary distribution")
     A, k = nu.alphabet_size, nu.k
@@ -504,7 +519,12 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
             z[_shortest_support_cycle(z, A, k)] -= 1
         z[0] += n - int(z.sum())
 
-    return empirical_block_measure(realize_sample(CountTable(A, k, n, z)), k, A)
+    # a connected table is the type of the sample it realizes
+    table = CountTable(A, k, n, z)
+    tails = set((np.flatnonzero(z) // A).tolist())
+    if tails <= _support_parents(z.tolist(), min(tails), A, k).keys():
+        return table.to_distribution()
+    return empirical_block_measure(realize_sample(table), k, A)
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,6 @@ GUARDS = {
         ValueError,
         "replicas must be an integer >= 1",
     ),
-    "sampler-replica-offset-float": (
-        lambda: bt.sample_paths(bt.pressure(CHAIN, 1.0), 10, 1, 2, 0.5),
-        ValueError,
-        "replica_offset must be an integer >= 0",
-    ),
     "count-table-shape": (
         lambda: bt.CountTable(2, 2, 4, np.ones(5, int)), ValueError, "4 counts"
     ),
@@ -329,6 +324,11 @@ GUARDS = {
         lambda: bt.round_to_type(UNIFORM_2, "10"),
         ValueError,
         "n must be an integer >= 2",
+    ),
+    "round-to-type-length-huge": (
+        lambda: bt.round_to_type(UNIFORM_2, 2**70),
+        ValueError,
+        r"n must be at most 2\*\*53",
     ),
     "class-size-mode": (
         lambda: bt.type_class_size(bt.CountTable(2, 2, 4, np.ones(4, int)), "census"),

@@ -380,16 +380,44 @@ def test_variance_audit_constant_potential():
 
 
 def test_variance_audit_memory_is_bounded(chain_potential, chain_spectral):
-    # replicas run in groups of about 2**20 symbols, and Birkhoff sums in
-    # blocks of 2**16; as one group of 2**22 symbols, this call's window
-    # codes and potential gather peaked near 69 MiB, and with whole groups
-    # of 2**20 symbols near 17 MiB (about 4-5 MiB in blocks)
+    # replicas come from the sampler in groups of at most 2**20 symbols,
+    # and Birkhoff sums run in blocks of 2**16; as one group of 2**22
+    # symbols, this call's window codes and potential gather peaked near
+    # 69 MiB, and with whole groups of 2**20 symbols near 17 MiB (about
+    # 4-5 MiB in blocks)
     tracemalloc.start()
     try:
         bt.variance_audit(chain_potential, 2**16, 64, seed=1, sd=chain_spectral)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak} bytes"
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", ["mc_scgf", "run_lln"])
+def test_replica_stages_memory_is_bounded(chain_spectral, stage):
+    # 1024 replicas of 4096 symbols (4 Mi symbols) are scored group by
+    # group as the sampler yields them; holding them all at once would
+    # take 4 MiB of paths and 32 MiB of window codes
+    n, replicas = 4096, 1024
+    if stage == "mc_scgf":
+        peak = _peak_bytes(
+            lambda: mc_scgf(chain_spectral, n, 2, 0.5, "conditional", replicas, seed=3)
+        )
+    else:
+        config = bt.ExperimentConfig(
+            potential=CHAIN_CONFIG, n_grid=(n,), replicas=replicas, seed=9
+        )
+        peak = _peak_bytes(lambda: bt.run_lln(config))
     assert peak < 8 << 20, f"peak {peak} bytes"
 
 
@@ -448,6 +476,32 @@ def test_run_ldp_report_files(tmp_path):
         for name in EXAMPLE_CSV_SHA256
     }
     assert digests == EXAMPLE_CSV_SHA256
+
+
+def test_run_ldp_leaves_exact_column_blank_beyond_the_string_cap(tmp_path):
+    # A = 3 at the default exact_n = 14: 3**14 strings exceed the 2**22
+    # cap, so the exact finite-n SCGF is not enumerated and its cells stay
+    # empty, while the Monte Carlo and theory cells are filled
+    config = bt.ExperimentConfig(
+        potential={
+            "type": "markov",
+            "transition": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        },
+        n_grid=(64, 128),
+        replicas=4,
+        scgf_n=16,
+        scgf_replicas=4,
+        variance_n=32,
+        variance_replicas=4,
+    )
+    bt.write_report(bt.run_ldp(config), str(tmp_path))
+    header, *rows = (tmp_path / "scgf.csv").read_text().splitlines()
+    assert header == "t,exact_n,mc,stderr,entropy_scgf,information_scgf"
+    assert len(rows) == len(config.t_grid)
+    for row in rows:
+        t, exact, mc, _, h_scgf, i_scgf = row.split(",")
+        assert exact == ""
+        assert all(math.isfinite(float(cell)) for cell in (t, mc, h_scgf, i_scgf))
 
 
 def test_run_ldp_audit_and_scgf_content(tmp_path):

@@ -19,17 +19,14 @@ from blocktropy.simulate import _chunk_shape
 PINNED_CHAIN_DIGEST = "494cc8671a1c55fb2c4ebaa49d7be0cdccd48d34bbe4f40c60357aeeb738b1ce"
 
 
-def reference_paths(sd, n, seed, replicas=1, replica_offset=0):
+def reference_paths(sd, n, seed, replicas=1):
     """Step-by-step oracle: one interpreted step per symbol, vectorized over
     replicas, drawing each replica's uniforms in blocks of 8192."""
     A = sd.potential.alphabet_size
     k = sd.potential.k
     V = A ** (k - 1)
     R = replicas
-    gens = [
-        np.random.default_rng((seed ^ (replica_offset + r)) & 0xFFFFFFFFFFFFFFFF)
-        for r in range(R)
-    ]
+    gens = [np.random.default_rng(seed ^ r) for r in range(R)]
     dtype = np.int8 if A <= 127 else np.int64
     out = np.zeros((R, n), dtype=dtype)
 
@@ -134,9 +131,9 @@ def test_sampler_matches_step_by_step_reference(random_spectra, small_chunks, A,
     sd = random_spectra[(A, k)]
     t_chunk = _chunk_shape(A ** (k - 1), R, 1 << 62)[1]
     lengths = [k - 1, k, k - 1 + t_chunk - 1, k - 1 + t_chunk + 1, k - 1 + 3 * t_chunk + 37]
-    ref = reference_paths(sd, lengths[-1], 77, R, replica_offset=5)
+    ref = reference_paths(sd, lengths[-1], 77, R)
     for n in lengths:
-        got = bt.sample_paths(sd, n, 77, R, replica_offset=5)
+        got = bt.sample_paths(sd, n, 77, R)
         assert got.dtype == ref.dtype and got.shape == (R, n)
         np.testing.assert_array_equal(got, ref[:, :n], err_msg=f"n={n}")
 
@@ -146,14 +143,13 @@ def test_sampler_matches_step_by_step_reference(random_spectra, small_chunks, A,
     A=st.integers(2, 4),
     k=st.integers(1, 4),
     R=st.sampled_from([1, 2, 3, 7, 64, 130]),
-    offset=st.integers(0, 1000),
     chunks=st.sampled_from([1, 3, 0, 2]),
     extra=st.integers(0, 80),
     draw=st.integers(0, 2**32 - 1),
     rare=st.integers(0, 3),
 )
-def test_sampler_matches_reference_property(A, k, R, offset, chunks, extra, draw, rare):
-    # random shapes and replica ranges under a small chunk budget; the paths
+def test_sampler_matches_reference_property(A, k, R, chunks, extra, draw, rare):
+    # random shapes and replica counts under a small chunk budget; the paths
     # run ``chunks`` whole chunks plus ``extra`` steps, so they cross lane,
     # chunk and replica-group ends; ``rare`` potential entries sit at
     # ln 1e-9, which puts kernel entries near 1e-9
@@ -166,8 +162,8 @@ def test_sampler_matches_reference_property(A, k, R, offset, chunks, extra, draw
         for name, value in SMALL_CHUNKS.items():
             mp.setattr(simulate, name, value)
         n = k - 1 + chunks * _chunk_shape(A ** (k - 1), R, 1 << 62)[1] + extra
-        got = bt.sample_paths(sd, n, seed, R, replica_offset=offset)
-    np.testing.assert_array_equal(got, reference_paths(sd, n, seed, R, offset))
+        got = bt.sample_paths(sd, n, seed, R)
+    np.testing.assert_array_equal(got, reference_paths(sd, n, seed, R))
 
 
 @pytest.mark.parametrize(
@@ -184,9 +180,9 @@ def test_sampler_stitches_lanes_that_never_meet(monkeypatch, small_chunks, sd, R
     # symbols: lanes are still open at the end of every chunk
     log = _log_walks(monkeypatch)
     n = sd.potential.k - 1 + 3 * _chunk_shape(sd.kernel.shape[0], R, 1 << 62)[1] + 37
-    got = bt.sample_paths(sd, n, 21, R, replica_offset=2)
+    got = bt.sample_paths(sd, n, 21, R)
     assert len(log) >= 3 and all(chunk[-1] > 0 for chunk in log)
-    np.testing.assert_array_equal(got, reference_paths(sd, n, 21, R, replica_offset=2))
+    np.testing.assert_array_equal(got, reference_paths(sd, n, 21, R))
 
 
 def test_sampler_closes_lanes_that_meet(monkeypatch, small_chunks):
@@ -203,14 +199,21 @@ def test_sampler_closes_lanes_that_meet(monkeypatch, small_chunks):
     np.testing.assert_array_equal(got, reference_paths(sd, n, 8, 2))
 
 
-def test_batch_matches_single_and_offset(chain_spectral):
-    batch = bt.sample_paths(chain_spectral, 200, seed=42, replicas=5)
-    assert batch.shape == (5, 200)
-    single = bt.sample_paths(chain_spectral, 200, seed=42)
-    np.testing.assert_array_equal(batch[:1], single)
-    # replica r in a shifted group reproduces replica offset+r of the full run
-    tail = bt.sample_paths(chain_spectral, 200, seed=42, replicas=2, replica_offset=3)
-    np.testing.assert_array_equal(tail, batch[3:5])
+@pytest.mark.parametrize(
+    "n, R, sizes",
+    [(200, 5, [5]), (2000, 130, [128, 2]), (40_000, 60, [26, 26, 8])],
+    ids=["one-group", "chunk-groups", "capped-groups"],
+)
+def test_batch_matches_single_and_groups(chain_spectral, n, R, sizes):
+    # a chunk of 130 replicas of 2000 symbols holds 128 of them, and
+    # 40000-symbol paths come in groups of at most 2**20 // n = 26.  The
+    # groups come in replica order and stack to the batch, whose first row
+    # is the one-path draw
+    groups = list(simulate._replica_groups(chain_spectral, n, 42, R))
+    assert [g.shape for g in groups] == [(size, n) for size in sizes]
+    batch = bt.sample_paths(chain_spectral, n, seed=42, replicas=R)
+    np.testing.assert_array_equal(np.concatenate(groups), batch)
+    np.testing.assert_array_equal(batch[:1], bt.sample_paths(chain_spectral, n, seed=42))
 
 
 def test_stationary_start_draws_both_symbols(chain_spectral):
@@ -297,18 +300,15 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1]
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
-    offset=st.one_of(
-        st.integers(0, 5000), st.integers(2**32 - 40, 2**32 + 40), st.integers(0, 2**70)
-    ),
     count=st.sampled_from([1, 2, 7, 64]),
 )
-def test_replica_generators_match_default_rng_property(seed, offset, count):
+def test_replica_generators_match_default_rng_property(seed, count):
     # the one-pass SeedSequence hash builds every replica's PCG64 in the
-    # state default_rng(seed ^ r) gives it, r = offset ... offset+count-1
-    gens = simulate._generators(simulate._pcg64_seed_words(seed, offset, count))
+    # state default_rng(seed ^ r) gives it, r = 0 ... count-1
+    gens = simulate._generators(simulate._pcg64_seed_words(seed, count))
     assert len(gens) == count
     for r, g in enumerate(gens):
-        ref = np.random.default_rng((seed ^ (offset + r)) & 0xFFFFFFFFFFFFFFFF)
+        ref = np.random.default_rng(seed ^ r)
         assert g.bit_generator.state == ref.bit_generator.state
 
 
@@ -318,7 +318,24 @@ def test_path_file_round_trip(tmp_path, chain_spectral):
     bt.write_path_file(str(target), x, 2, seed=99)
     y, A, seed = bt.read_path_file(str(target))
     assert (A, seed) == (2, 99)
+    assert y.dtype == np.uint8 and y.flags.writeable
     np.testing.assert_array_equal(x, y)
+
+
+def test_read_path_file_memory_is_bounded(tmp_path):
+    # the symbols come back as the stored bytes: no int64 widening (8n
+    # bytes) and no second copy of the payload
+    n = 1 << 20
+    target = tmp_path / "long.bin"
+    bt.write_path_file(str(target), np.arange(n) % 3, 3, seed=1)
+    tracemalloc.start()
+    try:
+        y, _, _ = bt.read_path_file(str(target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.size == n
+    assert peak < 2 * n, f"peak {peak} bytes"
 
 
 def test_path_file_error_modes(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blocktropy as bt
+from blocktropy import typegraphs
 from blocktropy.typegraphs import _bareiss_determinant
 from conftest import enumerate_simple_cycles
 
@@ -387,6 +388,22 @@ def test_round_to_type_worked_examples(chain_spectral):
     out3 = bt.round_to_type(bt.BlockDistribution(2, 2, np.full(4, 0.25)), 10)
     expected = bt.CountTable(2, 2, 10, np.array([2, 3, 3, 2])).to_distribution()
     assert out3.weights.tobytes() == expected.weights.tobytes()
+
+
+def test_round_to_type_realizes_only_a_disconnected_table(monkeypatch):
+    # a connected rounded table is its own type, so a full-support law at
+    # n = 10**7 rounds without an O(n) realization; two disjoint self-loops
+    # still go through realize_sample
+    def refuse(table):
+        raise AssertionError("realized")
+
+    monkeypatch.setattr(typegraphs, "realize_sample", refuse)
+    out = bt.round_to_type(bt.BlockDistribution(2, 2, [0.4, 0.1, 0.1, 0.4]), 10**7)
+    counts = np.array([4, 1, 1, 4]) * 10**6
+    expected = bt.CountTable(2, 2, 10**7, counts).to_distribution()
+    assert out.weights.tobytes() == expected.weights.tobytes()
+    with pytest.raises(AssertionError, match="realized"):
+        bt.round_to_type(bt.BlockDistribution(2, 2, [0.5, 0, 0, 0.5]), 10)
 
 
 def test_round_to_type_validates():
