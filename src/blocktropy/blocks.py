@@ -38,6 +38,9 @@ _MASS_TOL = 1e-12
 #: Absolute tolerance below which a stationarity defect is considered zero.
 _BALANCE_TOL = 1e-12
 
+#: Most k-words a count table is built for (A**k <= 2**24).
+_MAX_WORDS = 1 << 24
+
 
 def _is_int(value: object) -> bool:
     """True for Python and numpy integers, False for bool, float and str."""
@@ -47,6 +50,12 @@ def _is_int(value: object) -> bool:
 def _require_int(name: str, value: object, least: int) -> None:
     if not _is_int(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _too_many_strings(alphabet_size: int, n: int, cap: int) -> bool:
+    """True when A**n exceeds ``cap``.  The exponent is compared first, so
+    a large n is refused without building A**n (A >= 2)."""
+    return n > math.log2(cap) or alphabet_size**n > cap
 
 
 def _block_vector(
@@ -65,14 +74,71 @@ def _block_vector(
     return v
 
 
+def _last_summed(w: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """The (k-1)-word marginals of k-block vectors along the last axis of
+    ``w``, with the last symbol summed out (at k = 1, the total).
+
+    Below A = 8 the A strided slices are added in order, which keeps the
+    bits of numpy's reduce over the short axis (it sums fewer than 8 terms
+    one after another) at a fraction of its cost on wide matrices; from
+    A = 8 on numpy sums pairwise, so the reduce itself runs.
+    """
+    A = alphabet_size
+    if A >= 8:
+        return np.add.reduce(w.reshape(w.shape[:-1] + (-1, A)), axis=-1)
+    out = w[..., 0::A] + w[..., 1::A]
+    for b in range(2, A):
+        out += w[..., b::A]
+    return out
+
+
 def _marginals(
     w: np.ndarray, alphabet_size: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (k-1)-word marginals of a k-block vector: the last symbol summed
-    out (out-degrees on the de Bruijn graph) and the first summed out
-    (in-degrees).  At k = 1 both are the total, as a 1-vector."""
-    A, V = alphabet_size, alphabet_size ** (k - 1)
-    return w.reshape(V, A).sum(axis=1), w.reshape(A, V).sum(axis=0)
+    """The (k-1)-word marginals of k-block vectors along the last axis of
+    ``w``: the last symbol summed out (out-degrees on the de Bruijn graph)
+    and the first summed out (in-degrees).  At k = 1 both are the total."""
+    left = w.reshape(w.shape[:-1] + (alphabet_size, -1)).sum(axis=-2)
+    return _last_summed(w, alphabet_size), left
+
+
+def _check_laws(w: np.ndarray) -> None:
+    """Check the rows of an (R, A**k) float matrix as block laws and clip
+    their rounding negatives to 0 in place: a row with a weight below
+    -1e-12, or with a total (NaN included) off 1, is refused."""
+    if np.any(w < -_MASS_TOL):
+        raise ValueError("negative weight in block distribution")
+    np.maximum(w, 0.0, out=w)
+    totals = np.add.reduce(w, axis=1)
+    off = ~(np.abs(totals - 1.0) <= _MASS_TOL * max(1.0, w.shape[1] ** 0.5))
+    if off.any():
+        raise ValueError(f"weights sum to {totals[off][0]!r}, not 1")
+
+
+def _stationarity_defects(w: np.ndarray, alphabet_size: int, k: int) -> np.ndarray:
+    """``stationarity_defect`` of the k-block vectors along the last axis."""
+    right, left = _marginals(w, alphabet_size, k)
+    return np.maximum.reduce(np.abs(right - left), axis=-1)
+
+
+def _block_laws(
+    alphabet_size: int, k: int, w: np.ndarray
+) -> list[BlockDistribution]:
+    """The ``BlockDistribution`` of each row of an (R, A**k) float matrix
+    that the caller hands over, as the constructor makes it, with the
+    checks and stationarity measures of all rows taken together; each law
+    keeps its row of the matrix, which becomes read-only."""
+    _check_laws(w)
+    stationary = _stationarity_defects(w, alphabet_size, k) <= _BALANCE_TOL
+    w.flags.writeable = False
+    laws = []
+    for row, flag in zip(w, stationary.tolist()):
+        law = object.__new__(BlockDistribution)
+        law.__dict__.update(
+            alphabet_size=alphabet_size, k=k, weights=row, stationary=flag
+        )
+        laws.append(law)
+    return laws
 
 
 @dataclass(frozen=True)
@@ -94,12 +160,7 @@ class BlockDistribution:
 
     def __post_init__(self) -> None:
         w = _block_vector(self.alphabet_size, self.k, self.weights, "weights", float)
-        if np.any(w < -_MASS_TOL):
-            raise ValueError("negative weight in block distribution")
-        np.maximum(w, 0.0, out=w)
-        total = w.sum()
-        if not abs(total - 1.0) <= _MASS_TOL * max(1.0, w.size**0.5):
-            raise ValueError(f"weights sum to {total!r}, not 1")
+        _check_laws(w[None])
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(
@@ -126,9 +187,12 @@ def cyclic_window_codes(x: np.ndarray, k: int, alphabet_size: int) -> np.ndarray
     """Codes of all n cyclic k-windows of ``x`` (window i starts at x_i).
 
     Accepts a single sample of shape (n,) or a batch of shape (R, n); the
-    window axis is always the last one.
+    window axis is always the last one.  A block order whose A**k words
+    exceed 2**24 is refused, since no count table is built for it.
     """
     _require_int("block length k", k, 1)
+    if _too_many_strings(alphabet_size, k, _MAX_WORDS):
+        raise ValueError("block order limited to A**k <= 2**24 words")
     x = np.asarray(x)
     n = x.shape[-1]
     if n < 1:
@@ -195,8 +259,7 @@ def marginalize(nu: BlockDistribution) -> BlockDistribution:
     if nu.k < 2:
         raise ValueError("cannot marginalize a 1-block distribution")
     A = nu.alphabet_size
-    w = nu.weights.reshape(A ** (nu.k - 1), A).sum(axis=1)
-    return BlockDistribution(A, nu.k - 1, w)
+    return BlockDistribution(A, nu.k - 1, _last_summed(nu.weights, A))
 
 
 def stationarity_defect(nu: BlockDistribution) -> float:
@@ -205,8 +268,7 @@ def stationarity_defect(nu: BlockDistribution) -> float:
     Zero exactly when the k-block law is the k-marginal of a stationary
     process; 1-block distributions are vacuously stationary (defect 0).
     """
-    right, left = _marginals(nu.weights, nu.alphabet_size, nu.k)
-    return float(np.max(np.abs(right - left)))
+    return float(_stationarity_defects(nu.weights, nu.alphabet_size, nu.k))
 
 
 def tv_distance(nu: BlockDistribution, mu: BlockDistribution) -> float:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import block_schedule
+from .blocks import _MAX_WORDS, _too_many_strings, block_schedule
 from .entropy import plug_in_estimates
 from .harness import (
     ExperimentConfig,
@@ -46,7 +46,7 @@ from .pressure import (
     spectral_to_json_dict,
 )
 from .simulate import read_path_file, sample_paths, write_path_file
-from .typegraphs import CountTable, _too_many_strings, enumerate_types, type_class_size
+from .typegraphs import CountTable, enumerate_types, type_class_size
 
 __all__ = ["build_parser", "main"]
 
@@ -109,7 +109,7 @@ def _cmd_estimate(args: argparse.Namespace, config: ExperimentConfig) -> dict:
     k = args.k if args.k is not None else block_schedule(n, A, config.epsilon)
     if not 1 <= k <= n:
         raise _CliError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if _too_many_strings(A, k, 1 << 24):
+    if _too_many_strings(A, k, _MAX_WORDS):
         raise _CliError("block order limited to A**k <= 2**24 words")
     record = plug_in_estimates(x, k, A, equilibrium_blocks(sd, k))
     return {"seed": seed, **dataclasses.asdict(record), "reference_entropy": sd.entropy}

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import BlockDistribution, _distinct_rows, block_counts
+from .blocks import BlockDistribution, _distinct_rows, _last_summed, block_counts
 
 __all__ = [
     "EntropyRecord",
@@ -64,7 +64,7 @@ def _reference(
     marginal (ln 0 = -inf, which makes a divergence +inf)."""
     if (rho.alphabet_size, rho.k) != (alphabet_size, k):
         raise ValueError("distributions live on different block spaces")
-    lower = rho.weights.reshape(-1, alphabet_size).sum(axis=1)
+    lower = _last_summed(rho.weights, alphabet_size)
     with np.errstate(divide="ignore"):
         return np.log(rho.weights), np.log(lower)
 
@@ -133,7 +133,7 @@ def _law_functionals(
     hk = -sk
     if k == 1:
         return [hk, hk] if ref is None else [hk, hk, dk, dk]
-    lower = np.add.reduce(w.reshape(w.shape[0], -1, alphabet_size), axis=2)
+    lower = _last_summed(w, alphabet_size)
     skm1, dkm1 = _support_sums(lower, None if ref is None else ref[1])
     if ref is None:
         return [hk, skm1 - sk]

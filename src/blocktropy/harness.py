@@ -26,7 +26,14 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .blocks import _is_int, _require_int, block_counts, block_schedule, window_codes
+from .blocks import (
+    _is_int,
+    _require_int,
+    _too_many_strings,
+    block_counts,
+    block_schedule,
+    window_codes,
+)
 from .entropy import (
     MEASURE_FUNCTIONALS,
     EntropyRecord,
@@ -46,14 +53,13 @@ from .rates import (
     _entropy_rates,
     _largest_feasible_tilt,
     _poisson_variance,
+    _scgf_columns,
     _zero_temperature,
-    entropy_scgf,
-    information_scgf,
     relative_rate_function,
     relative_scgf,
 )
 from .simulate import RNG_NAME, _replica_groups, birkhoff_sums
-from .typegraphs import _chunked_count_matrices, _too_many_strings
+from .typegraphs import _chunked_count_matrices
 
 __all__ = [
     "AuditRow",
@@ -641,9 +647,10 @@ def _theory(
     grid = config.u_grid or np.linspace(0.0, math.log(phi.alphabet_size), 21)
     levels = sorted({float(u) for u in (*grid, *extra_levels)})
     probe = _largest_feasible_tilt(phi)
+    columns = _scgf_columns(phi, config.t_grid)
     scgf = [
-        (t, entropy_scgf(phi, t), information_scgf(phi, t), relative_scgf(phi, t))
-        for t in config.t_grid
+        (t, h_scgf, i_scgf, relative_scgf(phi, t))
+        for t, (h_scgf, i_scgf) in zip(config.t_grid, columns)
     ]
     rates = [
         (u, rate, relative_rate_function(phi, u))

@@ -21,11 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .blocks import BlockDistribution, _block_vector, _require_int, marginalize
-from .entropy import conditional_block_entropy
+from .blocks import (
+    BlockDistribution,
+    _block_laws,
+    _block_vector,
+    _last_summed,
+    _require_int,
+    marginalize,
+)
+from .entropy import _law_functionals, conditional_block_entropy
 
 __all__ = [
     "ConvergenceError",
@@ -56,6 +64,12 @@ _POWER_MAX_ITER = 2_000
 #: of moduli (strong tilting, periodic support) goes to the dense
 #: eigensolve at once, which is where the cap would send it anyway.
 _STALL_WINDOW = 64
+
+#: Fewest matrices that ``_spectra`` iterates as one stack.  A stacked
+#: power-iteration step costs about twice a one-matrix step on small stacks
+#: (V = 2 to 64), so up to three matrices iterate one at a time; from four
+#: on the stack is faster.
+_STACK_MIN = 4
 
 #: Normalization defect below which a potential counts as normalized.
 _NORMALIZED_TOL = 1e-8
@@ -134,15 +148,16 @@ class SpectralData:
 
 
 def _arc_matrix(weights: np.ndarray, A: int) -> np.ndarray:
-    """Dense V x V matrix holding each k-word's weight on its arc.
+    """Dense V x V matrix holding each k-word's weight on its arc, for each
+    vector of weights along the last axis (a (..., V, V) stack).
 
     Word w runs from state w // A (its prefix) to state w % V (its suffix);
     ``weights`` lists the A**k words in code order.
     """
-    V = weights.size // A
-    M = np.zeros((V, V))
-    arcs = np.arange(weights.size)
-    np.add.at(M, (arcs // A, arcs % V), weights)
+    V = weights.shape[-1] // A
+    M = np.zeros(weights.shape[:-1] + (V, V))
+    arcs = np.arange(weights.shape[-1])
+    np.add.at(M, (..., arcs // A, arcs % V), weights)
     return M
 
 
@@ -230,6 +245,68 @@ def _perron(M: np.ndarray) -> tuple[float, np.ndarray]:
     return _perron_eig(M)
 
 
+def _perron_stack(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_perron`` of every matrix of a (B, V, V) stack, bit for bit.
+
+    Each step is one stacked product, row sum and division for the rows
+    still iterating (``np.matmul`` over a stack and a sum along the rows
+    give each row the bits of its own ``M @ v`` and 1-D sum).  Every row
+    takes ``_perron``'s stop, polish, stall-window and eigensolve decisions
+    from its own numbers, and leaves the stack when it stops.  A row that
+    loses positivity raises ReducibilityError for the stack.
+    """
+    B, V = M.shape[:2]
+    lams, vectors = np.empty(B), np.empty((B, V))
+    rows = np.arange(B)  # the matrices still iterating
+    trail = np.empty((_STALL_WINDOW + 1, B, V))
+    trail[0] = 1.0 / V
+    v = trail[0]
+    lam, previous = np.zeros(B), np.zeros(B)
+    for step in range(1, _POWER_MAX_ITER + 1):
+        w = np.matmul(M, v[:, :, None])[:, :, 0]
+        s = np.add.reduce(w, axis=1)
+        # (a NaN fails too; an infinite sum leaves a NaN or zero iterate,
+        # which fails the next step, and a failed stack is solved again
+        # one beta at a time)
+        if not np.minimum.reduce(s) > 0.0:
+            raise ReducibilityError("transfer matrix iterate lost positivity")
+        slot = (step - 1) % _STALL_WINDOW + 1
+        w = np.divide(w, s[:, None], trail[slot])
+        stop = np.abs(s - lam) < _POWER_TOL * np.maximum(1.0, s)
+        if np.count_nonzero(stop):
+            change = np.maximum.reduce(np.abs(w[stop] - v[stop]), axis=1)
+            stop[stop] = change < _POWER_TOL
+        if np.count_nonzero(stop):
+            # two polishing steps sharpen the eigenpair to machine accuracy
+            u = w[stop]
+            for _ in range(2):
+                u = np.matmul(M[stop], u[:, :, None])[:, :, 0]
+                sums = np.add.reduce(u, axis=1)
+                u /= sums[:, None]
+            lams[rows[stop]], vectors[rows[stop]] = sums, u
+        if slot == _STALL_WINDOW:
+            changes = np.maximum.reduce(np.abs(trail[1:] - trail[:-1]), axis=2)
+            window = np.maximum.reduce(changes)
+            for i in np.flatnonzero(~stop & (previous > 0.0)):
+                if _stalled(previous[i], window[i], changes[-1, i], step):
+                    lams[rows[i]], vectors[rows[i]] = _perron_eig(M[i])
+                    stop[i] = True
+            previous = window
+            trail[0] = w
+            w = trail[0]
+        if np.count_nonzero(stop):
+            keep = ~stop
+            rows, M, previous = rows[keep], M[keep], previous[keep]
+            trail = trail[:, keep]
+            if not rows.size:
+                return lams, vectors
+            w, s = trail[0 if slot == _STALL_WINDOW else slot], s[keep]
+        v, lam = w, s
+    for i, row in enumerate(rows):
+        lams[row], vectors[row] = _perron_eig(M[i])
+    return lams, vectors
+
+
 def _stalled(previous: float, window: float, change: float, step: int) -> bool:
     """True when the per-step contraction of the window maxima, projected
     from the current change, misses _POWER_TOL within 2 * _POWER_MAX_ITER."""
@@ -250,30 +327,65 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
     measured like any other block law's; a law from an inaccurate
     stationary solve raises ConvergenceError.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    return _spectra(phi, (beta,))[0]
+
+
+def _spectra(phi: MarkovPotential, betas: Sequence[float]) -> list[SpectralData]:
+    """``[pressure(phi, beta) for beta in betas]``, bit for bit and error
+    for error, from one stacked solve.
+
+    The weights, kernels, stationary solves, stationarity checks and
+    entropy scores of all betas are array passes over the stack, each row
+    bitwise its one-beta value.  Fewer than ``_STACK_MIN`` betas take
+    ``_perron`` one matrix at a time, more take ``_perron_stack``, whose
+    step costs more than a one-matrix step but serves the whole stack.
+    When the stacked solve of several betas raises, the betas are solved
+    one at a time, so the error is the one the first failing beta raises
+    by itself.
+    """
+    try:
+        return _solve_stack(phi, betas)
+    except (ValueError, ConvergenceError):
+        if len(betas) == 1:
+            raise
+        return [pressure(phi, beta) for beta in betas]
+
+
+def _solve_stack(phi: MarkovPotential, betas: Sequence[float]) -> list[SpectralData]:
+    """The spectra of ``_spectra``; any failing beta raises for them all."""
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
     A, k = phi.alphabet_size, phi.k
     V = A ** (k - 1)
-    psi = beta * phi.values
-    shift = float(psi.max())
-    weights = np.exp(psi - shift)
-    lam, r = _perron(_arc_matrix(weights, A))
+    psi = np.multiply.outer(np.asarray(betas, dtype=float), phi.values)
+    shift = np.maximum.reduce(psi, axis=1)
+    weights = np.exp(psi - shift[:, None])
+    if len(betas) < _STACK_MIN:
+        lam, r = zip(*(_perron(_arc_matrix(w, A)) for w in weights))
+        lam, r = np.array(lam), np.array(r)
+    else:
+        lam, r = _perron_stack(_arc_matrix(weights, A))
     if r.min() <= 0.0:
         raise ReducibilityError(
             "transfer matrix is numerically reducible (Perron vector touches zero)"
         )
 
     arcs = np.arange(A**k)
-    kernel = weights.reshape(V, A) * r[(arcs % V).reshape(V, A)] / (lam * r[:, None])
-    row_sums = kernel.sum(axis=1, keepdims=True)
+    kernel = (
+        weights.reshape(-1, V, A)
+        * r[:, (arcs % V).reshape(V, A)]
+        / (lam[:, None, None] * r[:, :, None])
+    )
+    row_sums = _last_summed(kernel, A)
     if np.any(row_sums <= 0) or not np.all(np.isfinite(row_sums)):
         raise ConvergenceError(
             "transition kernel underflowed; inverse temperature too extreme"
         )
     kernel /= row_sums
 
-    lhs = np.eye(V) - _arc_matrix(kernel.ravel(), A).T
-    lhs[-1, :] = 1.0
+    lhs = np.eye(V) - _arc_matrix(kernel.reshape(-1, A**k), A).swapaxes(1, 2)
+    lhs[:, -1, :] = 1.0
     rhs = np.zeros(V)
     rhs[-1] = 1.0
     try:
@@ -284,19 +396,24 @@ def pressure(phi: MarkovPotential, beta: float) -> SpectralData:
             "too extreme for a unique equilibrium"
         ) from exc
     q = np.maximum(q, 0.0)
-    q /= q.sum()
+    q /= np.add.reduce(q, axis=1)[:, None]
 
-    rho = BlockDistribution(A, k, (q[:, None] * kernel).ravel())
-    if not rho.stationary:
+    laws_weights = (q[:, :, None] * kernel).reshape(-1, A**k)
+    laws = _block_laws(A, k, laws_weights)
+    if not all(rho.stationary for rho in laws):
         raise ConvergenceError(
             "equilibrium law is not stationary; the stationary solve lost "
             "accuracy"
         )
-    entropy = conditional_block_entropy(rho)
-    mean_phi = float(rho.weights @ phi.values)
-    return SpectralData(
-        phi, beta, math.log(lam) + shift, r, kernel, q, rho, entropy, mean_phi
-    )
+    entropies = _law_functionals(laws_weights, A, k)[1].tolist()
+    pressures = [math.log(x) + y for x, y in zip(lam.tolist(), shift.tolist())]
+    return [
+        SpectralData(
+            phi, beta, pressures[i], r[i], kernel[i], q[i], rho, entropies[i],
+            float(rho.weights @ phi.values),
+        )
+        for i, (beta, rho) in enumerate(zip(betas, laws))
+    ]
 
 
 def normalize_potential(phi: MarkovPotential) -> tuple[MarkovPotential, float]:

@@ -12,9 +12,13 @@ Their Legendre duals are the rate functions for conditional-entropy and
 relative-entropy estimators: ``entropy_rate_function`` (strictly convex
 between the zero-temperature entropy and ln A, linear below) and
 ``relative_rate_function`` (the identity on its domain); ``rate_curve``
-tabulates either of the two on a grid, and the SCGFs are evaluated one t
-at a time.  Extreme cycle means come from Karp's minimum-mean-cycle
-recursion, independent of any eigenvalue machinery.
+tabulates either of the two on a grid.  The public SCGFs solve one t at a
+time, while a report's SCGF columns solve the distinct betas of a whole
+t-grid in one stacked ``_spectra`` call, and a rate grid replays its
+levels' bisections in lockstep, one stacked solve per round; every value
+keeps the bits of its one-beta solve.  Extreme cycle means come from
+Karp's minimum-mean-cycle recursion, independent of any eigenvalue
+machinery.
 
 Two spectral quantities each have one route.  The central-limit variance
 sigma^2, the SCGFs' common curvature at t = 0, comes from one
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .pressure import (
     _arc_matrix,
     _perron,
     _require_normalized,
+    _spectra,
     pressure,
 )
 
@@ -127,6 +133,29 @@ def relative_scgf(phi: MarkovPotential, t: float) -> float:
     return (1.0 - t) * extreme_mean(phi, "min")
 
 
+def _scgf_columns(
+    phi: MarkovPotential, ts: Sequence[float]
+) -> list[tuple[float, float]]:
+    """``(entropy_scgf(phi, t), information_scgf(phi, t))`` at every finite
+    t, bit for bit, with one ``_spectra`` call for the distinct betas of
+    both."""
+    _require_normalized(phi)
+    betas: dict[float, None] = {}
+    for t in ts:
+        if t > -1.0:
+            betas[1.0 / (t + 1.0)] = None
+        betas[1.0 - t] = None
+    solved = dict(zip(betas, _spectra(phi, list(betas))))
+    frozen = extreme_mean(phi, "max") if min(ts, default=0.0) <= -1.0 else None
+    return [
+        (
+            (t + 1.0) * solved[1.0 / (t + 1.0)].pressure if t > -1.0 else frozen,
+            solved[1.0 - t].pressure,
+        )
+        for t in ts
+    ]
+
+
 def renyi_scgf(sd: SpectralData, t: float) -> float:
     """Renyi-sum route to the entropy SCGF, from the equilibrium kernel.
 
@@ -159,7 +188,8 @@ def _zero_temperature(
 ) -> tuple[float, bool]:
     """``zero_temperature_entropy`` from a tilt probe's (beta_top, spectrum)."""
     beta_top, sd_top = probe
-    h = [pressure(phi, beta_top / d).entropy for d in (4.0, 2.0)] + [sd_top.entropy]
+    cauchy = _spectra(phi, (beta_top / 4.0, beta_top / 2.0))
+    h = [sd.entropy for sd in cauchy] + [sd_top.entropy]
     gap = max(abs(h[1] - h[0]), abs(h[2] - h[1]))
     return h[2], gap < 1e-4
 
@@ -236,12 +266,14 @@ def _locate_root(
     target: float,
     beta_cap: float,
     samples: dict[float, tuple[float, float | None]],
-) -> tuple[float, float] | None:
+) -> Generator[float, SpectralData, tuple[float, float] | None]:
     """Safeguarded Newton for the beta with h(beta) = target.
 
-    Starts from a Newton step off the nearest sample with a known slope
-    dh/dbeta = -beta sigma^2 (else from beta = 1) and falls back to the
-    geometric midpoint of the sampled bracket whenever a step leaves it.
+    Starts from a Newton step off the sample with a known slope
+    dh/dbeta = -beta sigma^2 whose entropy is nearest the target (else from
+    beta = 1) and falls back to the geometric midpoint of the sampled
+    bracket whenever a step leaves it.  A generator: it yields each beta it
+    needs and is sent that beta's spectrum (a failed solve is thrown in).
     Every solve is recorded in ``samples`` as beta -> (entropy, slope).
     Returns the root and the slope there, or None without convergence.
     """
@@ -257,17 +289,20 @@ def _locate_root(
     for _ in range(30):
         if beta is None or not lo < beta < hi:
             beta = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        sd = pressure(phi, beta)
+        sd = yield beta
         h, slope = sd.entropy, -beta * _poisson_variance(sd)
         samples[beta] = (h, slope)
         if h > target:
             lo = beta
         elif h < target:
             hi = beta
-        step = _newton_step(beta, h, slope, target, ln_a)
+        _, base, h, slope = min(
+            (abs(h - target), b, h, s) for b, (h, s) in samples.items() if s
+        )
+        step = _newton_step(base, h, slope, target, ln_a)
         if step is not None and (
             abs(h - target) <= 0.25 * _ENTROPY_TOL
-            or abs(step - beta) <= _ROOT_STEP * beta
+            or abs(step - base) <= _ROOT_STEP * base
         ):
             return step, slope
         beta = step
@@ -279,7 +314,7 @@ def _replay_bisection(
     u: float,
     beta_cap: float,
     samples: dict[float, tuple[float, float | None]],
-) -> SpectralData:
+) -> Generator[float, SpectralData, SpectralData]:
     """The bisection for h(beta) = u on (0, beta_cap), with the spectrum of
     its last midpoint, at a fraction of its pressure solves.
 
@@ -287,11 +322,14 @@ def _replay_bisection(
     a solve only when a solved sample brackets it beyond _ENTROPY_TOL (h is
     decreasing, so a sample above u + tol decides every midpoint left of
     it, and one below u - tol every midpoint right of it).  Samples come
-    from earlier levels, from the Newton root and two solves just either
+    from other levels, from the Newton root and two solves just either
     side of it, and from the midpoints solved so far.  Every other
     midpoint is solved, so the decisions are the plain bisection's; the
     last midpoint's spectrum is that of its in-loop solve, or of one solve
-    after the loop when it was decided from a sample.
+    after the loop when it was decided from a sample.  A generator, like
+    ``_locate_root``: it yields each beta it needs, one at a time, and
+    returns the last midpoint's spectrum.  A solve it records keeps a
+    slope already sampled at the same beta.
     """
     ln_a = math.log(phi.alphabet_size)
     tol = _ENTROPY_TOL
@@ -299,13 +337,16 @@ def _replay_bisection(
     if u - samples[beta_cap][0] > 2.0 * tol:
         try:
             # at u = ln A the root is beta = 0; aim just inside instead
-            located = _locate_root(phi, min(u, ln_a - 2.0 * tol), beta_cap, samples)
+            located = yield from _locate_root(
+                phi, min(u, ln_a - 2.0 * tol), beta_cap, samples
+            )
             if located is not None:
                 root, slope = located
                 gap = 1.5 * tol / abs(slope)
                 for beta in (root - gap, root + gap):
                     if 0.0 < beta < beta_cap:
-                        samples[beta] = (pressure(phi, beta).entropy, None)
+                        sd = yield beta
+                        samples.setdefault(beta, (sd.entropy, None))
         except (ConvergenceError, ReducibilityError):
             pass  # without a root the replay solves every undecided midpoint
     # every midpoint up to ``left`` has h > u, every one from ``right`` on h < u
@@ -317,8 +358,8 @@ def _replay_bisection(
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if left < mid < right:
-            sd = pressure(phi, mid)
-            samples[mid] = (sd.entropy, None)
+            sd = yield mid
+            samples.setdefault(mid, (sd.entropy, None))
             above = sd.entropy > u
             if sd.entropy > u + tol:
                 left = mid
@@ -333,9 +374,58 @@ def _replay_bisection(
         if hi - lo < 1e-12 * max(1.0, hi):
             break
     if sd is None or sd.beta != mid:
-        sd = pressure(phi, mid)
-        samples[mid] = (sd.entropy, None)
+        sd = yield mid
+        samples.setdefault(mid, (sd.entropy, None))
     return sd
+
+
+def _solve_each(
+    phi: MarkovPotential, betas: list[float]
+) -> list[SpectralData | ConvergenceError | ReducibilityError]:
+    """Each beta's spectrum, or the error its own solve raises: one stacked
+    ``_spectra`` call, and one solve per beta only when the stack raised."""
+    try:
+        return _spectra(phi, betas)
+    except (ConvergenceError, ReducibilityError) as exc:
+        if len(betas) == 1:
+            return [exc]
+    outcomes: list[SpectralData | ConvergenceError | ReducibilityError] = []
+    for beta in betas:
+        try:
+            outcomes.append(pressure(phi, beta))
+        except (ConvergenceError, ReducibilityError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _lockstep(
+    phi: MarkovPotential, points: list[Generator[float, SpectralData, SpectralData]]
+) -> list[SpectralData]:
+    """Run the rate points' generators together and return their results.
+
+    Each round solves the distinct betas the points asked for with one
+    ``_solve_each`` call and hands every point its beta's spectrum, in
+    point order; a point is thrown its beta's error instead, and an error
+    it does not catch ends the grid.
+    """
+    results: dict[int, SpectralData] = {}
+    outcomes: dict[int, object] = dict.fromkeys(range(len(points)))
+    while outcomes:
+        asked: dict[int, float] = {}
+        for i, outcome in outcomes.items():
+            try:
+                if isinstance(outcome, Exception):
+                    asked[i] = points[i].throw(outcome)
+                else:
+                    asked[i] = points[i].send(outcome)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not asked:
+            break
+        betas = list(dict.fromkeys(asked.values()))
+        solved = dict(zip(betas, _solve_each(phi, betas)))
+        outcomes = {i: solved[beta] for i, beta in asked.items()}
+    return [results[i] for i in range(len(points))]
 
 
 def _entropy_rates(
@@ -346,15 +436,18 @@ def _entropy_rates(
     """``entropy_rate_function`` at every level u, for one potential.
 
     The tilt probe (unless a caller's ``probe`` is given) and the maximum
-    cycle mean run once, when a level first needs them, and every pressure
-    solve stays a sample for later levels.
+    cycle mean run once, when a level first needs them.  The levels on the
+    convex branch replay their bisections in lockstep (``_lockstep``): each
+    round is one stacked solve of the betas they ask for, and every solve
+    stays a sample for all of them.
     """
     _require_normalized(phi)
     ln_a = math.log(phi.alphabet_size)
     slack = 1e-12
     samples: dict[float, tuple[float, float | None]] = {}
     beta_cap = h_floor = max_mean = None
-    rates = []
+    rates: list[float] = []
+    points, convex = [], []
     for u in map(float, levels):
         _require_number(u)
         if u < -slack or u > ln_a + slack:
@@ -370,8 +463,11 @@ def _entropy_rates(
                 max_mean = extreme_mean(phi, "max")
             rates.append(-u - max_mean)
             continue
-        sd = _replay_bisection(phi, u, beta_cap, samples)
-        rates.append(max(0.0, -sd.potential_mean - u))
+        points.append(_replay_bisection(phi, u, beta_cap, samples))
+        convex.append((len(rates), u))
+        rates.append(math.nan)
+    for (i, u), sd in zip(convex, _lockstep(phi, points)):
+        rates[i] = max(0.0, -sd.potential_mean - u)
     return rates
 
 
@@ -391,8 +487,12 @@ def entropy_rate_function(phi: MarkovPotential, u: float) -> float:
     root leaves within rounding of u get a pressure solve, and the last
     midpoint gets one if it has none.
     The result is the plain bisection's, bit for bit, in about 15 solves
-    instead of about 48.  ``rate_curve`` evaluates a whole grid with one
-    tilt probe.
+    instead of about 48.  One level runs through the same lockstep loop
+    as a grid (``_entropy_rates``), one beta per round.  ``rate_curve``
+    evaluates a whole grid with one tilt probe, and replays its levels
+    together: each round solves the betas they ask for in one stacked
+    call, and every Newton step starts from the sloped sample, of any
+    level, whose entropy is nearest its target.
     """
     return _entropy_rates(phi, (u,))[0]
 

@@ -33,6 +33,7 @@ from .blocks import (
     _distinct_rows,
     _marginals,
     _require_int,
+    _too_many_strings,
     block_counts,
     empirical_block_measure,
 )
@@ -163,12 +164,6 @@ def _chunked_count_matrices(
     for lo in range(0, total, rows):
         x = enumerate_strings_chunk(lo, min(lo + rows, total), n, alphabet_size)
         yield x, block_counts(x, k, alphabet_size)
-
-
-def _too_many_strings(alphabet_size: int, n: int, cap: int) -> bool:
-    """True when A**n exceeds ``cap``.  The exponent is compared first, so
-    a large n is refused without building A**n (A >= 2)."""
-    return n > math.log2(cap) or alphabet_size**n > cap
 
 
 def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistribution]:

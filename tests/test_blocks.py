@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import blocktropy as bt
+from blocktropy.blocks import _last_summed
 
 
 def _code(word, alphabet_size: int) -> int:
@@ -95,6 +97,33 @@ def test_marginalize_right_hand_value():
     right = bt.marginalize(nu)
     np.testing.assert_allclose(right.weights, np.array([0, 2, 2, 1]) / 5, atol=1e-15)
     assert right.k == 2 and right.stationary
+
+
+@pytest.mark.parametrize("A", range(2, 10))
+def test_last_symbol_marginals_keep_the_reduce_bits(A):
+    # strided slice sums below A = 8 are numpy's reduce over the short axis,
+    # bit for bit, on single vectors and on wide matrices of block laws
+    rng = np.random.default_rng(A)
+    for shape in ((A,), (A**3,), (1, A**2), (64, A**4), (7, 3 * A)):
+        w = rng.random(shape) * rng.choice([1e-16, 1.0, 1e3], size=shape)
+        want = np.add.reduce(w.reshape(shape[:-1] + (-1, A)), axis=-1)
+        got = _last_summed(w, A)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+
+
+@pytest.mark.parametrize("k", [28, 64])
+def test_count_layer_refuses_an_order_without_a_table(k):
+    # A**k > 2**24 is refused before any code or count array is built
+    x = np.zeros(100, np.int8)
+    tracemalloc.start()
+    try:
+        for call in (bt.cyclic_window_codes, bt.block_counts, bt.plug_in_estimates):
+            with pytest.raises(ValueError, match=r"A\*\*k <= 2\*\*24"):
+                call(x, k, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_stationarity_flag_validation():

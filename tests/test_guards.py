@@ -75,6 +75,21 @@ GUARDS = {
         ValueError,
         "block length k must be an integer >= 1",
     ),
+    "block-counts-order-huge": (
+        lambda: bt.plug_in_estimates(np.zeros(100, np.int8), 64, 2),
+        ValueError,
+        r"A\*\*k <= 2\*\*24",
+    ),
+    "block-counts-order-wide": (
+        lambda: bt.block_counts(np.zeros(100, np.int8), 28, 2),
+        ValueError,
+        r"A\*\*k <= 2\*\*24",
+    ),
+    "cyclic-codes-order-wide": (
+        lambda: bt.cyclic_window_codes(np.zeros(100, np.int8), 28, 2),
+        ValueError,
+        r"A\*\*k <= 2\*\*24",
+    ),
     "window-codes-short": (
         lambda: bt.window_codes(np.array([0, 1]), 3, 2), ValueError, "no 3-windows"
     ),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import blocktropy as bt
+from blocktropy import harness, rates
 from blocktropy.harness import _exact_finite_scgf_grid, mc_scgf
 
 from conftest import CHAIN_CONFIG
@@ -476,6 +477,30 @@ def test_run_ldp_report_files(tmp_path):
         for name in EXAMPLE_CSV_SHA256
     }
     assert digests == EXAMPLE_CSV_SHA256
+
+
+def test_example_rate_levels_solve_in_lockstep(monkeypatch):
+    # the example's 24 rate levels replay their bisections together, one
+    # stacked solve per round: at most 30 rounds, where solving one level
+    # after another took 284 one-beta solves
+    with open("configs/ldp_example.json", encoding="utf-8") as fh:
+        config = bt.ExperimentConfig.from_json_dict(json.load(fh))
+    grids, rounds = [], []
+    entropy_rates, spectra = harness._entropy_rates, rates._spectra
+
+    def grid(phi, levels, probe=None):
+        grids.append(len(levels))
+        monkeypatch.setattr(
+            rates, "_spectra", lambda phi, b: rounds.append(b) or spectra(phi, b)
+        )
+        try:
+            return entropy_rates(phi, levels, probe)
+        finally:
+            monkeypatch.setattr(rates, "_spectra", spectra)
+
+    monkeypatch.setattr(harness, "_entropy_rates", grid)
+    bt.run_ldp(config)
+    assert grids == [24] and len(rounds) <= 30, len(rounds)
 
 
 def test_run_ldp_leaves_exact_column_blank_beyond_the_string_cap(tmp_path):

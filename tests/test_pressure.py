@@ -408,6 +408,92 @@ def test_perron_reference_bits_property(shape, seed, beta, tie):
     _assert_reference_bits(M)
 
 
+def _outcome_bits(solve):
+    """The bits of every field of a spectrum, or the error type it raised."""
+    try:
+        sd = solve()
+    except (ValueError, bt.ConvergenceError) as exc:
+        return type(exc)
+    fields = (
+        sd.beta, sd.pressure, sd.entropy, sd.potential_mean, sd.right_vector,
+        sd.kernel, sd.vertex_stationary, sd.equilibrium.weights,
+    )
+    bits = [(type(x), np.shape(x), np.asarray(x).tobytes()) for x in fields]
+    return bits + [sd.equilibrium.stationary, sd.equilibrium.k]
+
+
+def _assert_spectra_bits(phi, betas):
+    """``_spectra`` returns each beta's ``pressure`` bit for bit, or raises
+    the error of the first beta whose own solve raises."""
+    want = [_outcome_bits(lambda: bt.pressure(phi, beta)) for beta in betas]
+    errors = [w for w in want if isinstance(w, type)]
+    try:
+        got = pressure_module._spectra(phi, betas)
+    except (ValueError, bt.ConvergenceError) as exc:
+        assert errors and type(exc) is errors[0], (betas, exc)
+        return
+    assert not errors, betas
+    assert [sd.potential for sd in got] == [phi] * len(betas)
+    assert [_outcome_bits(lambda: sd) for sd in got] == want, betas
+
+
+#: betas every drawn stack may take: the zero and negative tilts, and
+#: tilts whose ``_perron`` runs to the stall test and the eigensolve; from
+#: ``_STACK_MIN`` betas on, the stack iterates as one
+_EDGE_BETAS = [0.0, -0.0, -1.0, -7.5, 1.0, 16.0, 64.0, 256.0]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    A=st.sampled_from([2, 3, 4]),
+    k=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    betas=st.lists(
+        st.one_of(st.sampled_from(_EDGE_BETAS), st.floats(-40.0, 300.0)),
+        min_size=1,
+        max_size=8,
+    ),
+    duplicate=st.booleans(),
+)
+def test_spectra_match_pressure_bitwise(A, k, seed, betas, duplicate):
+    rng = np.random.default_rng(seed)
+    raw = bt.MarkovPotential(A, k, rng.normal(size=A**k) * rng.uniform(0.3, 2.0))
+    phi = bt.normalize_potential(raw)[0]
+    _assert_spectra_bits(phi, betas + betas[:1] if duplicate else betas)
+
+
+def test_spectra_stalls_and_errors(chain_potential, tilt_reproducer, monkeypatch):
+    # from beta = 16 on, the reproducer's power iteration stalls into the
+    # eigensolve, so this stack mixes rows that stop and rows that stall;
+    # the stack takes each row's stall-window tests with the row's own
+    # numbers, as the betas solved one at a time do
+    stall_tests, stalled = [], pressure_module._stalled
+
+    def recorded(*args):
+        stall_tests.append((*args, stalled(*args)))
+        return stall_tests[-1][-1]
+
+    monkeypatch.setattr(pressure_module, "_stalled", recorded)
+    betas = [8.0, 16.0, 1.0, 64.0, 128.0, 16.0]
+    one_at_a_time = [
+        _outcome_bits(lambda: bt.pressure(tilt_reproducer, b)) for b in betas
+    ]
+    alone, stall_tests[:] = sorted(stall_tests), []
+    stack = pressure_module._spectra(tilt_reproducer, betas)
+    assert [_outcome_bits(lambda: sd) for sd in stack] == one_at_a_time
+    assert sorted(stall_tests) == alone
+    assert sum(test[-1] for test in alone) == 4
+    monkeypatch.undo()
+    # the strong tilts that ``_perron`` stops on too early keep their bits
+    _assert_spectra_bits(bt.normalize_potential(STRONG_TILT)[0], [100.0, 170.0, 0.5])
+    _assert_spectra_bits(bt.MarkovPotential(2, 1, np.log([0.5, 0.5])), [0.0, 3.0])
+    # a failing beta fails the stack with its own error, in beta order,
+    # whether the betas iterate one at a time or as one stack
+    for betas in ([1.0, 1e4, 1e3], [2.0, math.inf], [1e3, math.nan]):
+        _assert_spectra_bits(chain_potential, betas)
+        _assert_spectra_bits(chain_potential, [0.5, 3.0, 1.5] + betas)
+
+
 def test_spectral_json_dict(chain_spectral):
     data = bt.spectral_to_json_dict(chain_spectral)
     assert set(data) == {"beta", "pressure", "entropy", "mean_phi", "equilibrium"}

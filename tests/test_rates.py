@@ -319,22 +319,34 @@ def _oracle_potentials(chain_potential, tilt_reproducer):
     return out
 
 
+def _count_solves(monkeypatch, solves):
+    """Record in ``solves`` every beta the rates module solves, whether one
+    at a time or in a stacked ``_spectra`` call."""
+    spectra, solve = rates._spectra, rates.pressure
+
+    def stacked(phi, betas):
+        solves.extend(betas)
+        return spectra(phi, betas)
+
+    def counted(phi, beta):
+        solves.append(beta)
+        return solve(phi, beta)
+
+    monkeypatch.setattr(rates, "_spectra", stacked)
+    monkeypatch.setattr(rates, "pressure", counted)
+
+
 def test_entropy_rate_function_replays_bisection_bitwise(
     chain_potential, tilt_reproducer, monkeypatch
 ):
     # the replayed bisection returns the plain bisection's bits, one level
     # at a time and over a whole grid, at a fraction of its solves
     solves = []
-
-    def counted(phi, beta):
-        solves.append(beta)
-        return bt.pressure(phi, beta)
-
     linear = endpoints = 0
     for phi, levels in _oracle_potentials(chain_potential, tilt_reproducer):
         ln_a = math.log(phi.alphabet_size)
         expected = [_bisection_rate(phi, float(u)) for u in levels]
-        monkeypatch.setattr(rates, "pressure", counted)
+        _count_solves(monkeypatch, solves)
         point_solves = 0
         for u, (want, plain_solves, on_linear_branch) in zip(levels, expected):
             solves.clear()
@@ -384,6 +396,12 @@ def test_replay_without_a_root_is_the_plain_bisection(
     assert got == expected
 
 
+def _no_root(*args):
+    """A root search that gives up without a solve."""
+    return None
+    yield
+
+
 @pytest.mark.parametrize("u", _FALLBACK_LEVELS)
 def test_replay_solves_a_last_midpoint_decided_from_samples(
     chain_potential, monkeypatch, u
@@ -391,7 +409,7 @@ def test_replay_solves_a_last_midpoint_decided_from_samples(
     # two fake samples one ulp apart, one of them at the plain bisection's
     # last midpoint m, decide every midpoint as the plain bisection did (h > u
     # at or left of ``left``, h < u at or right of ``right``); no midpoint
-    # is solved in the loop, so m gets the one solve after it
+    # is solved in the loop, so the replay asks for m once, after it
     solved, solve = [], bt.pressure
 
     def recorded(phi, beta):
@@ -414,12 +432,56 @@ def test_replay_solves_a_last_midpoint_decided_from_samples(
         left: (u + 1.0, None),
         right: (u - 1.0, None),
     }
-    monkeypatch.setattr(rates, "_locate_root", lambda *args: None)
-    solved.clear()
-    monkeypatch.setattr(rates, "pressure", recorded)
-    sd = rates._replay_bisection(chain_potential, u, probe.beta, samples)
-    assert [s.beta for s in solved] == [m]
-    assert max(0.0, -sd.potential_mean - u) == want
+    monkeypatch.setattr(rates, "_locate_root", _no_root)
+    replay = rates._replay_bisection(chain_potential, u, probe.beta, samples)
+    assert next(replay) == m
+    with pytest.raises(StopIteration) as stop:
+        replay.send(bt.pressure(chain_potential, m))
+    sd = stop.value.value
+    assert sd.beta == m and max(0.0, -sd.potential_mean - u) == want
+
+
+def test_rate_grid_keeps_its_bits_when_one_level_solve_raises(
+    chain_potential, monkeypatch
+):
+    # a solve that raises reaches only the level that asked for it: the
+    # round is solved again one beta at a time, the level's Newton search
+    # catches the error and replays the plain bisection, and every level
+    # keeps its bits; an error at a bisection midpoint ends the grid
+    levels = np.linspace(0.0, math.log(2.0), 21)
+    want = rates._entropy_rates(chain_potential, levels)
+    rounds, spectra, solve = [], rates._spectra, rates.pressure
+    monkeypatch.setattr(
+        rates, "_spectra", lambda phi, b: rounds.append(b) or spectra(phi, b)
+    )
+    assert rates._entropy_rates(chain_potential, levels) == want
+    injected = []
+
+    def fail_at(bad):
+        def check(betas):
+            if bad in betas:
+                injected.append(len(betas))
+                raise bt.ConvergenceError("injected")
+
+        def stacked(phi, betas):
+            check(betas)
+            return spectra(phi, betas)
+
+        def single(phi, beta):
+            check([beta])
+            return solve(phi, beta)
+
+        monkeypatch.setattr(rates, "_spectra", stacked)
+        monkeypatch.setattr(rates, "pressure", single)
+
+    newton = rounds[1][3]  # one level's first Newton step
+    assert sum(newton in betas for betas in rounds) == 1
+    fail_at(newton)
+    assert rates._entropy_rates(chain_potential, levels) == want
+    assert injected == [len(rounds[1]), 1]
+    fail_at(rounds[-1][0])
+    with pytest.raises(bt.ConvergenceError, match="injected"):
+        rates._entropy_rates(chain_potential, levels)
 
 
 def test_poisson_variance_matches_curvature_routes(chain_potential):
