@@ -29,6 +29,7 @@ import numpy as np
 
 from .blocks import (
     BlockDistribution,
+    _block_laws,
     _block_vector,
     _distinct_rows,
     _marginals,
@@ -37,7 +38,7 @@ from .blocks import (
     block_counts,
     empirical_block_measure,
 )
-from .entropy import conditional_block_entropy
+from .entropy import _law_functionals
 
 __all__ = [
     "CountTable",
@@ -172,7 +173,8 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
     Exhausts the A**n strings (guarded), so only viable at desk scale; the
     count is at most (n+1)**(A**k).  Each chunk of strings is cut to its
     distinct count rows, which are merged every 64 chunks.  Types are
-    returned in lexicographic order of their count vectors.
+    returned in lexicographic order of their count vectors, their laws
+    checked together in one pass over the rows of types / n.
     """
     _require_int("alphabet size", alphabet_size, 2)
     _require_int("block length k", k, 1)
@@ -185,7 +187,7 @@ def enumerate_types(n: int, k: int, alphabet_size: int) -> list[BlockDistributio
         if len(fresh) == 64:
             types, fresh = _distinct_rows(np.vstack([types, *fresh]))[0], []
     types = _distinct_rows(np.vstack([types, *fresh]))[0]
-    return [BlockDistribution(alphabet_size, k, row / n) for row in types]
+    return _block_laws(alphabet_size, k, types / n)
 
 
 def type_count_bound(n: int, k: int, alphabet_size: int) -> float:
@@ -304,11 +306,11 @@ def type_class_size(table: CountTable, mode: str = "exact"):
 
     lower = Fraction(circuits, denom)
     upper = Fraction(n * math.prod(math.factorial(r) for r in degrees), denom)
-    h = conditional_block_entropy(table.to_distribution())
-    n_words = table.alphabet_size**table.k
+    A, k = table.alphabet_size, table.k
+    h = float(_law_functionals(table.counts[None] / n, A, k)[1][0])  # h_k of counts / n
     if n >= 2:
         ent_lo = _saturate(
-            lambda: math.exp(n * h - 2 * n_words * math.log(math.e * n)),
+            lambda: math.exp(n * h - 2 * A**k * math.log(math.e * n)),
             sys.float_info.max,
         )
         # The factor n (not n-1) is forced by zero-entropy aperiodic
@@ -328,43 +330,6 @@ def type_class_size(table: CountTable, mode: str = "exact"):
 # ---------------------------------------------------------------------------
 # Rounding a stationary law to a realizable type
 # ---------------------------------------------------------------------------
-
-
-def _find_fractional_cycle(
-    frac: np.ndarray, alphabet_size: int, k: int
-) -> list[tuple[int, int]]:
-    """An undirected cycle among the arcs flagged in ``frac``, as (arc, direction).
-
-    Direction +1 means the arc is traversed from its tail to its head.
-    Incidence is read off the codes, with no adjacency built: arc w runs
-    from w // A to w % V, so vertex u's out-arcs are u*A .. u*A+A-1 and its
-    in-arcs are u, u+V, u+2V, ...  A fractional self-loop, lowest code
-    first, is a cycle of length one.  Otherwise the walk starts at the
-    smallest endpoint of a fractional arc and at each vertex leaves by the
-    smallest fractional code among its out-arcs (direction +1) and in-arcs
-    (direction -1), other than the arc it arrived by, until it first
-    returns to a vertex it has visited.  The caller has rounded every arc
-    alone at an endpoint, so the walk always has a way out.
-    """
-    A, V = alphabet_size, alphabet_size ** (k - 1)
-    arcs = np.flatnonzero(frac)
-    tails, heads = arcs // A, arcs % V
-    loops = arcs[tails == heads]
-    if loops.size:
-        return [(int(loops[0]), +1)]
-    is_frac = frac.tolist()
-    at = int(min(tails.min(), heads.min()))
-    stops: list[int] = []  # path[i] leaves stops[i]
-    path: list[tuple[int, int]] = []  # (arc, direction)
-    arc = -1  # the arc the walk arrived by
-    while at not in stops:
-        stops.append(at)
-        incident = sorted((*range(at * A, at * A + A), *range(at, A * V, V)))
-        arc = next(w for w in incident if is_frac[w] and w != arc)
-        d = +1 if arc // A == at else -1
-        path.append((arc, d))
-        at = arc % V if d > 0 else arc // A
-    return path[stops.index(at) :]
 
 
 def _support_parents(
@@ -434,25 +399,123 @@ def _shortest_support_cycle(
     )
 
 
+def _round_circulation(
+    target: np.ndarray, n: int, alphabet_size: int, k: int
+) -> np.ndarray:
+    """Stage 1 of :func:`round_to_type` (k >= 2): the integer table that
+    the real circulation ``target`` = n*nu rounds to, as int64 counts.
+
+    Each round snaps near-integers, then rounds every non-loop fractional
+    arc that is the only one at one of its endpoints (balance there forces
+    it to an integer) if there are any, and otherwise pushes around one
+    cycle of fractional arcs, by the largest step that keeps every arc of
+    it between its floor and ceil; the push direction steers the total
+    toward n.  The cycle is the lowest fractional self-loop, or else the
+    walk from the smallest endpoint of a fractional arc that leaves each
+    vertex by its smallest fractional code (out-arcs u*A .. u*A+A-1 run
+    forward, in-arcs u, u+V, ... backward) other than the arc it arrived
+    by, cut where it first returns to a vertex it has visited.  Every
+    round makes at least one more arc integral, and an integral arc never
+    moves again.
+
+    So the state is kept across rounds and updated only at the arcs a
+    round wrote: per arc, its value (the float array, whose pairwise sum
+    picks the push direction, and a list for single reads) and whether it
+    is fractional; per vertex, its free (non-loop fractional) arcs in code
+    order.  Only the arcs written last round are snapped, lone arcs are the
+    free arcs of the vertices that have one, a walk step reads the first
+    two free arcs of its vertex, and the walk starts at a lowest-vertex
+    pointer, which only moves up since the free arcs only dwindle.  A push
+    costs O(A) steps per arc it walks or writes and one array sum, not
+    O(A**k) steps.
+    """
+    A, V = alphabet_size, alphabet_size ** (k - 1)
+    z = target.copy()
+    snap_tol = 1e-9 * max(1.0, float(n))
+    nearest = np.round(z)
+    near = np.abs(z - nearest) <= snap_tol
+    z[near] = nearest[near]
+    is_frac, values = (~near).tolist(), z.tolist()
+    left = is_frac.count(True)
+    arcs = np.arange(z.size)
+    loops = np.flatnonzero(arcs // A == arcs % V).tolist()
+    # each vertex's free (non-loop fractional) arcs, out and in, in code order
+    incident = np.sort(np.hstack((arcs.reshape(V, A), arcs.reshape(A, V).T)), axis=1)
+    free = ~near[incident] & (incident // A != incident % V)
+    ends = np.cumsum(np.count_nonzero(free, axis=1)).tolist()
+    flat = incident[free].tolist()
+    free_at = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    lone_at = {u for u, arcs_u in enumerate(free_at) if len(arcs_u) == 1}
+    low, changed = 0, []
+    for _ in range(z.size + 1):
+        for w in changed:  # an arc no round wrote cannot have come near an integer
+            r = round(values[w])
+            if abs(values[w] - r) <= snap_tol:
+                values[w] = z[w] = float(r)
+                is_frac[w] = False
+                left -= 1
+                if w // A != w % V:
+                    for u in (w // A, w % V):
+                        free_at[u].remove(w)
+                        if len(free_at[u]) == 1:
+                            lone_at.add(u)
+                        else:
+                            lone_at.discard(u)
+        if lone_at:
+            changed = {free_at[u][0] for u in lone_at}
+            for w in changed:
+                values[w] = z[w] = float(round(values[w]))
+            continue
+        if not left:
+            break
+        cycle = [(w, 1) for w in loops if is_frac[w]][:1]
+        if not cycle:
+            # no lone arc is left, so a vertex the walk reaches has another way out
+            while not free_at[low]:
+                low += 1
+            # path[i] leaves the vertex with stops[vertex] == i
+            at, arc, stops, path = low, -1, {}, []
+            while at not in stops:
+                stops[at] = len(path)
+                out = free_at[at]
+                arc = out[0] if out[0] != arc else out[1]
+                d = 1 if arc // A == at else -1
+                path.append((arc, d))
+                at = arc % V if d > 0 else arc // A
+            cycle = path[stops[at] :]
+        mass_coeff = sum(d for _, d in cycle)
+        sign = 1.0 if mass_coeff * (n - z.sum()) >= 0 else -1.0
+        step = min(
+            (math.ceil(values[w]) - values[w])
+            if sign * d > 0
+            else (values[w] - math.floor(values[w]))
+            for w, d in cycle
+        )
+        for w, d in cycle:
+            values[w] = z[w] = values[w] + sign * d * step
+        changed = [w for w, _ in cycle]
+    return np.round(z).astype(np.int64)
+
+
 def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
     """Nearest-in-spirit realizable type with denominator n.
 
-    Stage 1 rounds the real circulation n*nu to integers by pushing mass
-    around cycles of fractional arcs, never letting an arc cross an integer,
-    so every count lands on floor or ceil of its target (balance is
-    preserved by construction; push directions steer the total toward n).
-    Each round snaps near-integers, then rounds every non-loop fractional
-    arc that is the only one at one of its endpoints (balance there forces
-    it to an integer) if there are any, and otherwise pushes around the
-    cycle that :func:`_find_fractional_cycle` walks, by the largest step
-    that keeps every arc of it between its floor and ceil.  Every round
-    makes at least one more arc integral.  Stage 2 repairs any leftover
-    total-mass mismatch (surplus units come off along shortest support
-    cycles, then missing units go on the all-zeros self-loop).  In stage 3
-    a rounded table whose support is connected is returned as it is (it
-    is the type of the sample it realizes); a disconnected one gives the
-    cyclic type of the sample :func:`realize_sample` reads off it, a
-    nearby realizable type.  Only that last case costs O(n).
+    Stage 1 (:func:`_round_circulation`) rounds the real circulation n*nu
+    to integers by pushing mass around cycles of fractional arcs, never
+    letting an arc cross an integer, so every count lands on floor or ceil
+    of its target (balance is preserved by construction; push directions
+    steer the total toward n).  Every round makes at least one more arc
+    integral.  The stage keeps its state from round to round (each arc's
+    value and whether it is fractional, each vertex's free arcs in code
+    order, a lowest-vertex pointer) and updates it only at the arcs a round
+    wrote, so a push costs O(A) steps per arc it walks or writes, not
+    O(A**k).  Stage 2 repairs any leftover total-mass mismatch (surplus
+    units come off along shortest support cycles, then missing units go on
+    the all-zeros self-loop).  In stage 3 a rounded table whose support is
+    connected is returned as it is (it is the type of the sample it
+    realizes); a disconnected one gives the cyclic type of the sample
+    :func:`realize_sample` reads off it, a nearby realizable type.  Only
+    that last case costs O(n).
 
     The result is realizable and within (k+2)*A**k/n of ``nu`` in total
     variation.  Raises ValueError unless n is an integer with
@@ -475,37 +538,7 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
         for w in np.argsort(-rema)[:short]:
             z[w] += 1
     else:
-        z = target.copy()
-        V = A ** (k - 1)
-        arcs = np.arange(z.size)
-        tail, head = arcs // A, arcs % V
-        loop = tail == head
-        snap_tol = 1e-9 * max(1.0, float(n))
-        for _ in range(z.size + 1):
-            nearest = np.round(z)
-            near = np.abs(z - nearest) <= snap_tol
-            z[near] = nearest[near]
-            frac = ~near
-            # a non-loop fractional arc alone at an endpoint is forced to an
-            # integer by balance there; round it rather than walk onto it
-            free = frac & ~loop
-            slots = np.bincount(np.concatenate((tail[free], head[free])), minlength=V)
-            lone = free & ((slots[tail] == 1) | (slots[head] == 1))
-            if lone.any():
-                z[lone] = np.round(z[lone])
-                continue
-            if not frac.any():
-                break
-            cycle = _find_fractional_cycle(frac, A, k)
-            mass_coeff = sum(d for _, d in cycle)
-            sign = 1.0 if mass_coeff * (n - z.sum()) >= 0 else -1.0
-            step = min(
-                (math.ceil(z[w]) - z[w]) if sign * d > 0 else (z[w] - math.floor(z[w]))
-                for w, d in cycle
-            )
-            for w, d in cycle:
-                z[w] += sign * d * step
-        z = np.round(z).astype(np.int64)
+        z = _round_circulation(target, n, A, k)
 
         # total-mass repair (stage 1 can only land within a few units of n):
         # surplus comes off along support cycles, and the shortfall, from

@@ -485,6 +485,170 @@ def test_round_to_type_pinned_bits(make_stationary):
     assert digest.hexdigest() == ROUNDED_WEIGHTS_SHA256
 
 
+def _find_fractional_cycle(frac, alphabet_size, k):
+    """An undirected cycle among the arcs flagged in ``frac``, as (arc, direction).
+
+    Direction +1 means the arc is traversed from its tail to its head.
+    Incidence is read off the codes, with no adjacency built: arc w runs
+    from w // A to w % V, so vertex u's out-arcs are u*A .. u*A+A-1 and its
+    in-arcs are u, u+V, u+2V, ...  A fractional self-loop, lowest code
+    first, is a cycle of length one.  Otherwise the walk starts at the
+    smallest endpoint of a fractional arc and at each vertex leaves by the
+    smallest fractional code among its out-arcs (direction +1) and in-arcs
+    (direction -1), other than the arc it arrived by, until it first
+    returns to a vertex it has visited.  The caller has rounded every arc
+    alone at an endpoint, so the walk always has a way out.
+    """
+    A, V = alphabet_size, alphabet_size ** (k - 1)
+    arcs = np.flatnonzero(frac)
+    tails, heads = arcs // A, arcs % V
+    loops = arcs[tails == heads]
+    if loops.size:
+        return [(int(loops[0]), +1)]
+    is_frac = frac.tolist()
+    at = int(min(tails.min(), heads.min()))
+    stops = []  # path[i] leaves stops[i]
+    path = []  # (arc, direction)
+    arc = -1  # the arc the walk arrived by
+    while at not in stops:
+        stops.append(at)
+        incident = sorted((*range(at * A, at * A + A), *range(at, A * V, V)))
+        arc = next(w for w in incident if is_frac[w] and w != arc)
+        d = +1 if arc // A == at else -1
+        path.append((arc, d))
+        at = arc % V if d > 0 else arc // A
+    return path[stops.index(at) :]
+
+
+def _reference_round_circulation(target, n, A, k):
+    """Stage 1 of ``round_to_type`` as a loop that rebuilds its state from
+    all A**k arcs every round (O(A**k) a push): the reference whose tables
+    ``typegraphs._round_circulation`` must return bit for bit."""
+    z = target.copy()
+    V = A ** (k - 1)
+    arcs = np.arange(z.size)
+    tail, head = arcs // A, arcs % V
+    loop = tail == head
+    snap_tol = 1e-9 * max(1.0, float(n))
+    for _ in range(z.size + 1):
+        nearest = np.round(z)
+        near = np.abs(z - nearest) <= snap_tol
+        z[near] = nearest[near]
+        frac = ~near
+        # a non-loop fractional arc alone at an endpoint is forced to an
+        # integer by balance there; round it rather than walk onto it
+        free = frac & ~loop
+        slots = np.bincount(np.concatenate((tail[free], head[free])), minlength=V)
+        lone = free & ((slots[tail] == 1) | (slots[head] == 1))
+        if lone.any():
+            z[lone] = np.round(z[lone])
+            continue
+        if not frac.any():
+            break
+        cycle = _find_fractional_cycle(frac, A, k)
+        mass_coeff = sum(d for _, d in cycle)
+        sign = 1.0 if mass_coeff * (n - z.sum()) >= 0 else -1.0
+        step = min(
+            (math.ceil(z[w]) - z[w]) if sign * d > 0 else (z[w] - math.floor(z[w]))
+            for w, d in cycle
+        )
+        for w, d in cycle:
+            z[w] += sign * d * step
+    return np.round(z).astype(np.int64)
+
+
+def _equilibrium_law(A, k, seed):
+    """The ``types_census`` benchmark's law: the equilibrium k-block law of
+    a raw potential drawn at ``seed``."""
+    rng = np.random.default_rng(seed)
+    phi = bt.MarkovPotential(A, k, rng.uniform(0.5, 2) * rng.standard_normal(A**k))
+    return bt.equilibrium_blocks(bt.pressure(phi, 1.0), k)
+
+
+def _assert_stage_one_matches(nu, n):
+    target = nu.weights * n
+    want = _reference_round_circulation(target, n, nu.alphabet_size, nu.k)
+    got = typegraphs._round_circulation(target, n, nu.alphabet_size, nu.k)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _stage_one_lengths(A, k):
+    return (k, 7 * A**k + 3, 16 * A**k, 1000, 2**40)
+
+
+def test_round_circulation_matches_reference_sweep(make_stationary):
+    rng = np.random.default_rng(28)
+    shapes = [(A, k) for A in (2, 3, 4) for k in range(1, 6)] + [(2, 10)]
+    for A, k in shapes:
+        laws = [make_stationary(rng, A, k)]
+        if k > 1:
+            laws.append(_equilibrium_law(A, k, A * 10 + k))
+        for nu in laws:
+            for n in _stage_one_lengths(A, k):
+                _assert_stage_one_matches(nu, n)
+    # laws with arcs below the 1e-13 support threshold, of
+    # test_cycle_decompose_sub_threshold_weights
+    for k, seed in ((4, 51), (4, 101), (5, 13), (5, 46), (5, 63)):
+        nu = _equilibrium_law(3, k, seed)
+        for n in _stage_one_lengths(3, k):
+            _assert_stage_one_matches(nu, n)
+    # the laws of test_round_to_type_lone_fractional_arc, at their n
+    lone = ((2, 4, 21), (2, 5, 17), (2, 5, 21), (3, 5, 6), (3, 5, 21), (3, 5, 39))
+    for A, k, seed in lone:
+        _assert_stage_one_matches(_equilibrium_law(A, k, seed), 16 * A**k)
+    # two fractional self-loops (9.1 at code 0, 1.3 at code 3): the
+    # reference's first cycle is the loop at code 0
+    loopy = bt.BlockDistribution(2, 2, np.array([0.7, 0.1, 0.1, 0.1]))
+    frac = np.abs(loopy.weights * 13 - np.round(loopy.weights * 13)) > 1e-9
+    assert _find_fractional_cycle(frac, 2, 2) == [(0, 1)]
+    _assert_stage_one_matches(loopy, 13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(A, k) for A in (2, 3, 4) for k in range(1, 6)] + [(2, 10)]),
+    seed=st.integers(0, 2**32 - 1),
+    equilibrium=st.booleans(),
+    pick=st.integers(0, 5),
+    free_n=st.integers(1, 10**6),
+)
+def test_round_circulation_matches_reference_property(
+    make_stationary, shape, seed, equilibrium, pick, free_n
+):
+    A, k = shape
+    if equilibrium and k > 1:
+        nu = _equilibrium_law(A, k, seed)
+    else:
+        nu = make_stationary(np.random.default_rng(seed), A, k)
+    n = (*_stage_one_lengths(A, k), max(k, free_n))[pick]
+    _assert_stage_one_matches(nu, n)
+
+
+def test_enumerate_types_laws_are_constructor_laws():
+    for n, k, A in ((14, 3, 2), (8, 2, 3), (10, 1, 2), (9, 4, 2), (6, 1, 4)):
+        for law in bt.enumerate_types(n, k, A):
+            counts = np.rint(law.weights * n).astype(np.int64)
+            built = bt.BlockDistribution(A, k, counts / n)
+            assert law.weights.tobytes() == built.weights.tobytes()
+            assert law.weights.dtype == built.weights.dtype
+            assert law.stationary is built.stationary is True
+            assert not law.weights.flags.writeable
+            assert (law.alphabet_size, law.k) == (A, k)
+
+
+def test_type_class_size_bounds_match_the_law_route():
+    # bounds mode scores counts / n without building a law; its entropy
+    # pair keeps the bits of h_k taken through the table's distribution
+    for n, k, A in ((14, 3, 2), (8, 2, 3), (10, 1, 2), (9, 4, 2), (6, 1, 4)):
+        for law in bt.enumerate_types(n, k, A):
+            table = bt.CountTable(A, k, n, np.rint(law.weights * n).astype(np.int64))
+            h = bt.conditional_block_entropy(table.to_distribution())
+            bounds = bt.type_class_size(table, "bounds")
+            log_lower = n * h - 2 * A**k * math.log(math.e * n)
+            assert bounds.entropy_lower == math.exp(log_lower)
+            assert bounds.entropy_upper == n * math.exp(n * h)
+
+
 def test_cycle_decompose_worked_example():
     nu = bt.BlockDistribution(2, 2, np.full(4, 0.25))
     parts = bt.cycle_decompose(nu)
