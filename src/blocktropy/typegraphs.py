@@ -19,9 +19,11 @@ simple-cycle measures.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -32,6 +34,7 @@ from .blocks import (
     _block_laws,
     _block_vector,
     _distinct_rows,
+    _is_int,
     _marginals,
     _require_int,
     _too_many_strings,
@@ -146,7 +149,18 @@ def realize_sample(table: CountTable) -> np.ndarray:
 
 
 def enumerate_strings_chunk(lo: int, hi: int, n: int, alphabet_size: int) -> np.ndarray:
-    """Digit matrix (hi-lo, n) of the strings with codes lo..hi-1."""
+    """Digit matrix (hi-lo, n) of the strings with codes lo..hi-1.
+
+    Raises ValueError unless A >= 2, n >= 1, lo and hi are integers and
+    0 <= lo <= hi <= A**n (tested without building A**n for a huge n).
+    """
+    _require_int("alphabet size", alphabet_size, 2)
+    _require_int("string length n", n, 1)
+    _require_int("lo", lo, 0)
+    _require_int("hi", hi, lo)
+    # in Python ints, since a numpy A**n would wrap around
+    if hi > 1 and not _too_many_strings(int(alphabet_size), int(n), int(hi) - 1):
+        raise ValueError(f"hi must be at most A**n = {alphabet_size}**{n}, got {hi}")
     idx = np.arange(lo, hi, dtype=np.int64)
     out = np.empty((idx.size, n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
@@ -332,28 +346,41 @@ def type_class_size(table: CountTable, mode: str = "exact"):
 # ---------------------------------------------------------------------------
 
 
+def _support_out_arcs(z: list, alphabet_size: int) -> list[list[int]]:
+    """Each vertex's support out-arcs (weight above 1e-13) in code order,
+    read off ``z``, a list of arc weights (or integer counts)."""
+    A = alphabet_size
+    return [
+        [arc for arc in range(u * A, u * A + A) if z[arc] > 1e-13]
+        for u in range(len(z) // A)
+    ]
+
+
 def _support_parents(
-    z: list[float], source: int, alphabet_size: int, k: int, target: int = -1
+    out: list[list[int]], source: int, target: int = -1
 ) -> dict[int, tuple[int, int]]:
-    """A breadth-first search from ``source`` over the support arcs of
-    ``z`` (a list of arc weights: indexing one is much faster than indexing
-    an array; support arcs are those above 1e-13): for each vertex reached,
-    the (vertex, arc) that first reached it.
+    """A breadth-first search from ``source`` over the support arcs listed
+    in ``out`` (each vertex's support out-arcs in code order, as
+    :func:`_support_out_arcs` builds them): for each vertex reached, the
+    (vertex, arc) that first reached it.
 
     The smallest appended symbol is tried first at every vertex.  An arc
     back into ``source`` is recorded but ``source`` is not searched again.
     The search stops as soon as ``target`` is reached, and otherwise covers
-    every vertex reachable from ``source``.
+    every vertex reachable from ``source``.  It reads only the arc lists of
+    the vertices it searches, so it costs O(A) per vertex searched, and no
+    weight is tested against the support threshold: callers that change
+    weights keep the lists up to date instead.
     """
-    A, V = alphabet_size, alphabet_size ** (k - 1)
+    V = len(out)
     parent: dict[int, tuple[int, int]] = {}
     frontier = [source]
     while frontier and target not in parent:
         nxt = []
         for u in frontier:
-            for arc in range(u * A, u * A + A):
+            for arc in out[u]:
                 v = arc % V
-                if z[arc] > 1e-13 and v not in parent:
+                if v not in parent:
                     parent[v] = (u, arc)
                     if v != source:
                         nxt.append(v)
@@ -363,14 +390,12 @@ def _support_parents(
     return parent
 
 
-def _shortest_path_arcs(
-    z: list[float], source: int, target: int, alphabet_size: int, k: int
-) -> list[int]:
+def _shortest_path_arcs(out: list[list[int]], source: int, target: int) -> list[int]:
     """Arc codes of a shortest directed support path source -> target,
     read off :func:`_support_parents`; when source == target the path is
     a shortest cycle through source.
     """
-    parent = _support_parents(z, source, alphabet_size, k, target)
+    parent = _support_parents(out, source, target)
     if target not in parent:
         raise ValueError("support is not strongly connected along the needed path")
     path = []
@@ -383,19 +408,16 @@ def _shortest_path_arcs(
             return path
 
 
-def _shortest_support_cycle(
-    z: np.ndarray, alphabet_size: int, k: int
-) -> list[int]:
+def _shortest_support_cycle(z: np.ndarray, alphabet_size: int) -> list[int]:
     """Arc codes of a shortest directed cycle in the support of ``z``.
 
     The first shortest of the cycles through each support vertex, smallest
     vertex first, keeps the choice deterministic; a support self-loop is
     the cycle of length one through its vertex.
     """
-    weights = z.tolist()
-    tails = sorted({w // alphabet_size for w in np.flatnonzero(z > 0).tolist()})
+    out = _support_out_arcs(z.tolist(), alphabet_size)
     return min(
-        (_shortest_path_arcs(weights, u, u, alphabet_size, k) for u in tails), key=len
+        (_shortest_path_arcs(out, u, u) for u, arcs in enumerate(out) if arcs), key=len
     )
 
 
@@ -544,13 +566,14 @@ def round_to_type(nu: BlockDistribution, n: int) -> BlockDistribution:
         # surplus comes off along support cycles, and the shortfall, from
         # the start or from the last removal, goes on the all-zeros self-loop
         while z.sum() > n:
-            z[_shortest_support_cycle(z, A, k)] -= 1
+            z[_shortest_support_cycle(z, A)] -= 1
         z[0] += n - int(z.sum())
 
     # a connected table is the type of the sample it realizes
     table = CountTable(A, k, n, z)
-    tails = set((np.flatnonzero(z) // A).tolist())
-    if tails <= _support_parents(z.tolist(), min(tails), A, k).keys():
+    out = _support_out_arcs(z.tolist(), A)
+    tails = [u for u, arcs in enumerate(out) if arcs]
+    if set(tails) <= _support_parents(out, tails[0]).keys():
         return table.to_distribution()
     return empirical_block_measure(realize_sample(table), k, A)
 
@@ -566,7 +589,11 @@ class CycleMeasure:
 
     Each of the ell arcs carries weight 1/ell; since every vertex on the
     cycle has a unique successor, all conditionals are 0 or 1 and the
-    conditional block entropy vanishes identically.
+    conditional block entropy vanishes identically.  The alphabet size must
+    be an integer >= 2, k an integer >= 1 and the arcs integers that chain
+    into a closed cycle (so each is a k-word code); construction keeps them
+    as a tuple of Python ints.  The law is built on the first read of
+    :attr:`distribution` and kept.
     """
 
     alphabet_size: int
@@ -574,17 +601,28 @@ class CycleMeasure:
     arcs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.arcs:
+        _require_int("alphabet size", self.alphabet_size, 2)
+        _require_int("block length k", self.k, 1)
+        try:
+            arcs = tuple(self.arcs)
+        except TypeError:
+            raise ValueError(f"cycle arcs must be integers, got {self.arcs!r}") from None
+        if not all(_is_int(w) for w in arcs):
+            raise ValueError(f"cycle arcs must be integers, got {self.arcs!r}")
+        arcs = tuple(int(w) for w in arcs)
+        if not arcs:
             raise ValueError("empty cycle")
         A, V = self.alphabet_size, self.alphabet_size ** (self.k - 1)
-        sources = [w // A for w in self.arcs]
+        sources = [w // A for w in arcs]
         if len(set(sources)) != len(sources):
             raise ValueError("cycle revisits a vertex")
-        for w, w_next in zip(self.arcs, self.arcs[1:] + self.arcs[:1]):
+        # w_next // A lies in [0, V), so a chaining arc lies in [0, A**k)
+        for w, w_next in zip(arcs, arcs[1:] + arcs[:1]):
             if w % V != w_next // A:
                 raise ValueError("arcs do not chain into a closed cycle")
+        object.__setattr__(self, "arcs", arcs)
 
-    @property
+    @cached_property
     def distribution(self) -> BlockDistribution:
         w = np.zeros(self.alphabet_size**self.k)
         w[list(self.arcs)] = 1.0 / len(self.arcs)
@@ -595,34 +633,67 @@ def cycle_decompose(nu: BlockDistribution) -> list[tuple[float, CycleMeasure]]:
     """Write a stationary law as a convex combination of cycle measures.
 
     Repeatedly takes a smallest-weight arc of the support (arcs above
-    1e-13), closes it into a vertex-simple cycle through the support
-    (breadth-first, smallest symbols first), and subtracts that smallest
-    weight from the whole cycle.  An arc that no support path closes is
-    dropped into the residual instead: it enters a vertex set that only
-    sub-threshold arcs leave, so by balance it carries at most A**k * 1e-13
-    plus the input's stationarity defect summed over that set.  Each round
-    zeroes at least one support arc, so there are at most A**k rounds, and
-    they stop once the residual mass is at most 1e-11 or no support arc is
-    left.  The recombination error (L1) is that residual plus the dropped
-    weights.
+    1e-13, the lowest code among equal weights), closes it into a
+    vertex-simple cycle through the support (breadth-first, smallest
+    symbols first), and subtracts that smallest weight from the whole
+    cycle.  An arc that no support path closes is dropped into the
+    residual instead: it enters a vertex set that only sub-threshold arcs
+    leave, so by balance it carries at most A**k * 1e-13 plus the input's
+    stationarity defect summed over that set.  Each round zeroes at least
+    one support arc, so there are at most A**k rounds, and they stop once
+    the residual mass is at most 1e-11 or no support arc is left.  The
+    recombination error (L1) is that residual plus the dropped weights.
+
+    The state is kept from round to round and written only at the arcs a
+    round changes: the weights as a float array (whose pairwise sum is the
+    stop test) and as a list for single reads; a heap of (weight, arc) over
+    the support arcs, whose entries for arcs that have changed since are
+    skipped when they come up; and each vertex's support out-arcs in code
+    order, which the search reads and which drop an arc once it falls to
+    1e-13 or below.  So a round costs a few heap steps, O(A) per vertex the
+    search reaches and one array sum, with no Python pass over all A**k
+    arcs.  The cycle laws are checked together in one pass once the rounds
+    are done, and each measure's ``distribution`` is its law from that pass.
     """
     if not nu.stationary:
         raise ValueError("cycle decomposition requires a stationary distribution")
     A, k = nu.alphabet_size, nu.k
     V = A ** (k - 1)
     w = nu.weights.copy()
-    parts: list[tuple[float, CycleMeasure]] = []
-    while float(w.sum()) > 1e-11 and np.any(w > 1e-13):
-        a = int(np.argmin(np.where(w > 1e-13, w, np.inf)))
-        m = float(w[a])
+    values = w.tolist()
+    out = _support_out_arcs(values, A)
+    heap = [(x, arc) for arc, x in enumerate(values) if x > 1e-13]
+    heapq.heapify(heap)
+    cycles = []  # (mass, arcs)
+    while float(w.sum()) > 1e-11:
+        while heap and values[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)  # the arc has changed since this entry
+        if not heap:
+            break
+        m, a = heapq.heappop(heap)
         head, tail = a % V, a // A
-        w[a] = 0.0
+        w[a] = values[a] = 0.0
+        out[tail].remove(a)
         try:
-            path = [] if head == tail else _shortest_path_arcs(w.tolist(), head, tail, A, k)
+            path = [] if head == tail else _shortest_path_arcs(out, head, tail)
         except ValueError:
             continue  # no support path closes a: its weight stays in the residual
         # every path arc weighs at least m, so no weight goes negative
-        w[path] -= m
-        cycle = [a] + path
-        parts.append((m * len(cycle), CycleMeasure(A, k, tuple(cycle))))
+        for arc in path:
+            x = w[arc] = values[arc] = values[arc] - m
+            if x > 1e-13:
+                heapq.heappush(heap, (x, arc))
+            else:
+                out[arc // A].remove(arc)
+        cycle = (a, *path)
+        cycles.append((m * len(cycle), cycle))
+    laws = np.zeros((len(cycles), A**k))
+    for row, (_, cycle) in zip(laws, cycles):
+        row[list(cycle)] = 1.0 / len(cycle)
+    parts = []
+    for (mass, cycle), law in zip(cycles, _block_laws(A, k, laws)):
+        # the arcs chain by construction, and the law fills the cached property
+        measure = object.__new__(CycleMeasure)
+        measure.__dict__.update(alphabet_size=A, k=k, arcs=cycle, distribution=law)
+        parts.append((mass, measure))
     return parts

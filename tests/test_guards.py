@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import blocktropy as bt
+from blocktropy import typegraphs
 
 from conftest import CHAIN_CONFIG
 
@@ -353,6 +354,73 @@ GUARDS = {
     "cycle-empty": (lambda: bt.CycleMeasure(2, 2, ()), ValueError, "empty cycle"),
     "cycle-revisit": (
         lambda: bt.CycleMeasure(2, 2, (0, 1)), ValueError, "revisits a vertex"
+    ),
+    "cycle-arcs-float": (
+        lambda: bt.CycleMeasure(2, 2, (1.0, 2.0)), ValueError, "arcs must be integers"
+    ),
+    "cycle-arcs-float-array": (
+        lambda: bt.CycleMeasure(2, 2, np.array([1.0, 2.0])),
+        ValueError,
+        "arcs must be integers",
+    ),
+    "cycle-arcs-bool": (
+        lambda: bt.CycleMeasure(2, 1, (True,)), ValueError, "arcs must be integers"
+    ),
+    "cycle-arcs-scalar": (
+        lambda: bt.CycleMeasure(2, 2, 3), ValueError, "arcs must be integers"
+    ),
+    "cycle-arcs-out-of-range": (
+        lambda: bt.CycleMeasure(2, 2, (7,)), ValueError, "do not chain"
+    ),
+    "cycle-order": (
+        lambda: bt.CycleMeasure(2, 0, (0,)),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "cycle-order-float": (
+        lambda: bt.CycleMeasure(2, 2.0, (1, 2)),
+        ValueError,
+        "block length k must be an integer >= 1",
+    ),
+    "cycle-alphabet": (
+        lambda: bt.CycleMeasure(1, 2, (0,)),
+        ValueError,
+        "alphabet size must be an integer >= 2",
+    ),
+    "strings-chunk-aliases": (
+        lambda: typegraphs.enumerate_strings_chunk(0, 100, 3, 2),
+        ValueError,
+        r"hi must be at most A\*\*n = 2\*\*3, got 100",
+    ),
+    "strings-chunk-past-end": (
+        lambda: typegraphs.enumerate_strings_chunk(0, 3**5 + 1, 5, 3),
+        ValueError,
+        "hi must be at most",
+    ),
+    "strings-chunk-negative-start": (
+        lambda: typegraphs.enumerate_strings_chunk(-1, 3, 3, 2),
+        ValueError,
+        "lo must be an integer >= 0",
+    ),
+    "strings-chunk-float-end": (
+        lambda: typegraphs.enumerate_strings_chunk(0, 3.0, 3, 2),
+        ValueError,
+        "hi must be an integer >= 0",
+    ),
+    "strings-chunk-reversed": (
+        lambda: typegraphs.enumerate_strings_chunk(5, 4, 3, 2),
+        ValueError,
+        "hi must be an integer >= 5",
+    ),
+    "strings-chunk-alphabet": (
+        lambda: typegraphs.enumerate_strings_chunk(0, 1, 3, 1),
+        ValueError,
+        "alphabet size must be an integer >= 2",
+    ),
+    "strings-chunk-length": (
+        lambda: typegraphs.enumerate_strings_chunk(0, 1, 0, 2),
+        ValueError,
+        "string length n must be an integer >= 1",
     ),
     "cycle-decompose-stationary": (
         lambda: bt.cycle_decompose(SKEWED), ValueError, "stationary"

@@ -708,6 +708,155 @@ def test_cycle_measure_validation():
     assert cyc.distribution.stationary
 
 
+def test_cycle_measure_keeps_its_arcs_as_python_ints():
+    want = bt.CycleMeasure(2, 2, (1, 2))
+    for arcs in ([1, 2], np.array([1, 2]), (np.int32(1), np.int64(2)), range(1, 3)):
+        cyc = bt.CycleMeasure(2, 2, arcs)
+        assert cyc.arcs == (1, 2) and all(type(w) is int for w in cyc.arcs)
+        assert cyc == want and hash(cyc) == hash(want)
+
+
+def _reference_shortest_path(w, source, target, A, k):
+    """A shortest support path source -> target over the arcs of the
+    weight list ``w`` above 1e-13, breadth-first with the smallest
+    appended symbol first (source == target: a cycle); None when the
+    search does not reach target."""
+    V = A ** (k - 1)
+    parent = {}
+    frontier = [source]
+    while frontier and target not in parent:
+        nxt = []
+        for u in frontier:
+            for arc in range(u * A, u * A + A):
+                v = arc % V
+                if w[arc] > 1e-13 and v not in parent:
+                    parent[v] = (u, arc)
+                    if v != source:
+                        nxt.append(v)
+            if target in parent:
+                break
+        frontier = nxt
+    if target not in parent:
+        return None
+    path, at = [], target
+    while at != source or not path:
+        at, arc = parent[at]
+        path.append(arc)
+    return path[::-1]
+
+
+def _reference_cycle_decompose(nu):
+    """``cycle_decompose`` as a loop that rebuilds its state from all A**k
+    arcs every round (argmin over the support, a fresh search over a list
+    of every weight): the reference whose (mass, arcs) pairs
+    ``typegraphs.cycle_decompose`` must return bit for bit."""
+    A, k = nu.alphabet_size, nu.k
+    V = A ** (k - 1)
+    w = nu.weights.copy()
+    parts = []
+    while float(w.sum()) > 1e-11 and np.any(w > 1e-13):
+        a = int(np.argmin(np.where(w > 1e-13, w, np.inf)))
+        m = float(w[a])
+        head, tail = a % V, a // A
+        w[a] = 0.0
+        path = [] if head == tail else _reference_shortest_path(w.tolist(), head, tail, A, k)
+        if path is None:
+            continue
+        w[path] -= m
+        parts.append((m * (len(path) + 1), (a, *path)))
+    return parts
+
+
+def _assert_decomposition_matches(nu):
+    A, k = nu.alphabet_size, nu.k
+    want = _reference_cycle_decompose(nu)
+    got = bt.cycle_decompose(nu)
+    assert [m.hex() for m, _ in got] == [m.hex() for m, _ in want]
+    assert [cyc.arcs for _, cyc in got] == [arcs for _, arcs in want]
+    for _, cyc in got:
+        w = np.zeros(A**k)
+        w[list(cyc.arcs)] = 1.0 / len(cyc.arcs)
+        built = bt.BlockDistribution(A, k, w)
+        law = cyc.distribution
+        assert law.weights.dtype == built.weights.dtype
+        assert law.weights.tobytes() == built.weights.tobytes()
+        assert law.stationary is built.stationary is True
+        assert not law.weights.flags.writeable
+        assert (law.alphabet_size, law.k) == (A, k)
+
+
+def test_cycle_decompose_matches_reference_sweep(make_stationary):
+    rng = np.random.default_rng(29)
+    for A in (2, 3, 4):
+        for k in range(1, 6):
+            for _ in range(3):
+                _assert_decomposition_matches(make_stationary(rng, A, k))
+            if k > 1:
+                _assert_decomposition_matches(_equilibrium_law(A, k, A * 10 + k))
+    for seed in (1, 2):  # the types_census benchmark recipe
+        rng = np.random.default_rng(seed)
+        for A in (2, 3):
+            for k in (3, 4, 5):
+                for _ in range(4):
+                    values = rng.uniform(0.5, 2.0) * rng.standard_normal(A**k)
+                    phi = bt.MarkovPotential(A, k, values)
+                    _assert_decomposition_matches(
+                        bt.equilibrium_blocks(bt.pressure(phi, 1.0), k)
+                    )
+    # laws with arcs below the 1e-13 support threshold, of
+    # test_cycle_decompose_sub_threshold_weights: some rounds find no path
+    # that closes their arc and drop it into the residual
+    for k, seed in ((4, 51), (4, 101), (5, 13), (5, 46), (5, 63)):
+        _assert_decomposition_matches(_equilibrium_law(3, k, seed))
+    # equal smallest weights: the lowest code goes first
+    _assert_decomposition_matches(bt.BlockDistribution(2, 2, np.full(4, 0.25)))
+    _assert_decomposition_matches(bt.CycleMeasure(3, 3, (1, 3, 9)).distribution)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(A, k) for A in (2, 3, 4) for k in range(1, 6)]),
+    seed=st.integers(0, 2**32 - 1),
+    equilibrium=st.booleans(),
+)
+def test_cycle_decompose_matches_reference_property(make_stationary, shape, seed, equilibrium):
+    A, k = shape
+    if equilibrium and k > 1:
+        nu = _equilibrium_law(A, k, seed)
+    else:
+        nu = make_stationary(np.random.default_rng(seed), A, k)
+    _assert_decomposition_matches(nu)
+
+
+def test_cycle_decompose_laws_are_built_once(monkeypatch):
+    # the cycle laws come from one checked pass, not from the constructor,
+    # and every read returns that law
+    nu = _equilibrium_law(3, 4, 34)
+
+    def refuse(self):
+        raise AssertionError("a cycle law went through the constructor")
+
+    monkeypatch.setattr(bt.BlockDistribution, "__post_init__", refuse)
+    parts = bt.cycle_decompose(nu)
+    assert len(parts) > 10
+    first = [cyc.distribution for _, cyc in parts]
+    assert all(cyc.distribution is law for (_, cyc), law in zip(parts, first))
+
+
+def test_standalone_cycle_measure_law_is_the_constructor_law(monkeypatch):
+    for A, k, arcs in ((2, 1, (1,)), (2, 2, (1, 2)), (3, 3, (1, 3, 9)), (2, 4, (2, 4, 9))):
+        cyc = bt.CycleMeasure(A, k, arcs)
+        w = np.zeros(A**k)
+        w[list(arcs)] = 1.0 / len(arcs)
+        built = bt.BlockDistribution(A, k, w)
+        law = cyc.distribution
+        assert law.weights.tobytes() == built.weights.tobytes()
+        assert law.stationary is built.stationary is True
+        assert not law.weights.flags.writeable
+    monkeypatch.setattr(bt.BlockDistribution, "__post_init__", None)
+    assert cyc.distribution is law
+
+
 def test_euler_bounds_sandwich_from_fractions():
     # bounds are exact rationals; verify one by hand via Fractions
     table = bt.CountTable(2, 2, 6, np.array([2, 2, 2, 0]))
