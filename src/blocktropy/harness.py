@@ -22,11 +22,12 @@ import numbers
 import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, cast
 
 import numpy as np
 
 from .blocks import (
+    _MAX_WORDS,
     _is_int,
     _require_int,
     _too_many_strings,
@@ -547,7 +548,8 @@ def empirical_rate(
 
     Bins are [i*w, (i+1)*w); each observed range bin yields the decay
     exponent -(1/n) ln(frequency), with +inf marking interior bins no
-    replica hit.
+    replica hit.  Values whose bin index i leaves the int64 range, or
+    whose histogram would span more than 2**24 bins, raise ValueError.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -558,8 +560,14 @@ def empirical_rate(
         raise ValueError(f"path length n must be a positive integer, got {n!r}")
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise ValueError("bin_width must be positive and finite")
-    idx = np.floor(values / bin_width).astype(np.int64)
+    with np.errstate(over="ignore"):
+        bins = np.floor(values / bin_width)
+    if not (-(2.0**63) <= bins.min() and bins.max() < 2.0**63):
+        raise ValueError("values / bin_width leaves the int64 range")
+    idx = bins.astype(np.int64)
     lo, hi = int(idx.min()), int(idx.max())
+    if hi - lo + 1 > _MAX_WORDS:
+        raise ValueError("the histogram would span more than 2**24 bins")
     counts = np.bincount(idx - lo, minlength=hi - lo + 1)
     centers = (np.arange(lo, hi + 1) + 0.5) * bin_width
     with np.errstate(divide="ignore"):
@@ -659,6 +667,131 @@ def _theory(
     return scgf, rates, _zero_temperature(phi, probe)
 
 
+def _worker_available() -> bool:
+    """True when :func:`run_ldp` forks its Monte Carlo worker: on Linux,
+    with at least two usable CPUs and no other Python thread (a fork copies
+    only the calling thread, so a lock another thread holds would stay held
+    in the child)."""
+    # imported where the worker uses them, so `import blocktropy` imports no more
+    import sys
+    import threading
+
+    return (
+        sys.platform.startswith("linux")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+class _Worker:
+    """Run ``stages``, zero-argument callables, in a forked process while
+    the caller runs its own, when :func:`_worker_available`.
+
+    The child runs the stages in order until one raises, sends the results
+    of those that returned down a pipe as one pickle, and ends with
+    ``os._exit`` on every path, so it flushes no inherited stdio buffer and
+    runs no atexit hook.  ``result(i)`` returns stage i's result, reading
+    the pipe to EOF on first use.  A stage the child did not finish (it
+    raised, or the child died) runs in the caller when its result is asked
+    for, so its error is raised there, in the caller's order; without a
+    child (none is available, or the fork failed), every stage runs that
+    way.  On exit the child is reaped, after a SIGKILL when the block
+    raised.
+    """
+
+    def __init__(self, stages: Sequence[Callable[[], object]]) -> None:
+        self._stages = stages
+        self._results: Optional[list] = []
+        self._pid = 0
+        self._fd = -1
+
+    def __enter__(self) -> "_Worker":
+        if not _worker_available():
+            return self
+        import pickle
+
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the stages run in the caller
+            os.close(read_fd)
+            os.close(write_fd)
+            return self
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                results = []
+                try:
+                    for stage in self._stages:
+                        results.append(stage())
+                except Exception:
+                    pass  # the caller runs this stage again and raises its error
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(results))
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self._pid, self._fd, self._results = pid, read_fd, None
+        return self
+
+    def result(self, index: int) -> object:
+        if self._results is None:
+            import pickle
+
+            chunks = []
+            while chunk := os.read(self._fd, 1 << 16):
+                chunks.append(chunk)
+            self._results = pickle.loads(b"".join(chunks)) if chunks else []
+        if index < len(self._results):
+            return self._results[index]
+        return self._stages[index]()
+
+    def __exit__(self, kind: object, value: object, traceback: object) -> None:
+        if not self._pid:
+            return
+        if kind is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+        os.close(self._fd)
+        os.waitpid(self._pid, 0)
+
+
+def _monte_carlo_stages(
+    config: ExperimentConfig, phi: MarkovPotential, sd: SpectralData
+) -> tuple[Callable[[], list[McScgf]], Callable[[], VarianceAudit]]:
+    """The two stages of :func:`run_ldp` that read only the config and the
+    beta = 1 spectrum, in serial order: ``mc_scgf`` at every t of the
+    t-grid, then the variance audit."""
+
+    def scgf() -> list[McScgf]:
+        return [
+            mc_scgf(
+                sd,
+                config.scgf_n,
+                config.exact_k,
+                t,
+                config.functional,
+                config.scgf_replicas,
+                _stage_seed(
+                    config.seed, _STAGE_SCGF + 100 * (index + 1), config.scgf_n
+                ),
+            )
+            for index, t in enumerate(config.t_grid)
+        ]
+
+    def variance() -> VarianceAudit:
+        return variance_audit(
+            phi,
+            config.variance_n,
+            config.variance_replicas,
+            _stage_seed(config.seed, _STAGE_VARIANCE, config.variance_n),
+            sd,
+        )
+
+    return scgf, variance
+
+
 def run_ldp(config: ExperimentConfig) -> LdpReport:
     """Run the whole pipeline and assemble the report.
 
@@ -667,69 +800,65 @@ def run_ldp(config: ExperimentConfig) -> LdpReport:
     (empirical histogram points at the largest n merged with the theory
     grid), one decomposition audit per n (on replica 0's path, kept from
     the LLN pass), and the variance audit.
+
+    The Monte Carlo SCGF and variance stages read only the config and the
+    beta = 1 spectrum, so on Linux with two or more usable CPUs and no
+    other Python thread they run in one forked worker process while this
+    process runs the LLN pass, the theory and the exact SCGF grid; the
+    worker's memory is a second process's.  Otherwise they run here, in
+    serial order.  Either way the report is bit for bit the same, and an
+    error is the one the serial order (LLN, theory, exact grid, mc_scgf,
+    audits, variance) raises first.
     """
     phi, sd = _effective_spectral(config)
     A = phi.alphabet_size
-    lln_report, first_paths = _run_lln(config, sd)
+    with _Worker(_monte_carlo_stages(config, phi, sd)) as worker:
+        lln_report, first_paths = _run_lln(config, sd)
 
-    n_max = config.n_grid[-1]
-    cond_values = [
-        row.record.cond_entropy for row in lln_report.samples if row.n == n_max
-    ]
-    centers, emp_rates = empirical_rate(cond_values, n_max, config.bin_width)
-    scgf_theory, rate_theory, (zero_temp, zero_temp_converged) = _theory(
-        config, phi, centers
-    )
+        n_max = config.n_grid[-1]
+        cond_values = [
+            row.record.cond_entropy for row in lln_report.samples if row.n == n_max
+        ]
+        centers, emp_rates = empirical_rate(cond_values, n_max, config.bin_width)
+        scgf_theory, rate_theory, (zero_temp, zero_temp_converged) = _theory(
+            config, phi, centers
+        )
 
-    scgf_rows: list[ScgfRow] = []
-    exact_ok = not _too_many_strings(A, config.exact_n, _EXACT_STRING_CAP)
-    exact_values: Sequence[Optional[float]] = (
-        _exact_finite_scgf_grid(
-            sd, config.exact_n, config.exact_k, config.t_grid, config.functional
-        )
-        if exact_ok
-        else [None] * len(config.t_grid)
-    )
-    for index, (t, h_scgf, i_scgf, _) in enumerate(scgf_theory):
-        mc = mc_scgf(
-            sd,
-            config.scgf_n,
-            config.exact_k,
-            t,
-            config.functional,
-            config.scgf_replicas,
-            _stage_seed(config.seed, _STAGE_SCGF + 100 * (index + 1), config.scgf_n),
-        )
-        scgf_rows.append(
-            ScgfRow(
-                t=t,
-                exact=exact_values[index],
-                mc=mc.estimate,
-                stderr=mc.stderr,
-                high_variance=mc.high_variance,
-                entropy_scgf=h_scgf,
-                information_scgf=i_scgf,
+        exact_ok = not _too_many_strings(A, config.exact_n, _EXACT_STRING_CAP)
+        exact_values: Sequence[Optional[float]] = (
+            _exact_finite_scgf_grid(
+                sd, config.exact_n, config.exact_k, config.t_grid, config.functional
             )
+            if exact_ok
+            else [None] * len(config.t_grid)
         )
+        mc_values = cast(list[McScgf], worker.result(0))
+        audit_rows = [
+            decomposition_audit(x, phi, row.k, sd)
+            for x, row in zip(first_paths, lln_report.lln)
+        ]
+        var_audit = cast(VarianceAudit, worker.result(1))
+
+    scgf_rows = [
+        ScgfRow(
+            t=t,
+            exact=exact,
+            mc=mc.estimate,
+            stderr=mc.stderr,
+            high_variance=mc.high_variance,
+            entropy_scgf=h_scgf,
+            information_scgf=i_scgf,
+        )
+        for (t, h_scgf, i_scgf, _), exact, mc in zip(
+            scgf_theory, exact_values, mc_values
+        )
+    ]
 
     empirical = dict(zip(centers.tolist(), emp_rates.tolist()))
     rate_rows = [
         RateRow(u, empirical.get(u), entropy_rate, relative_rate)
         for u, entropy_rate, relative_rate in rate_theory
     ]
-
-    audit_rows = [
-        decomposition_audit(x, phi, row.k, sd)
-        for x, row in zip(first_paths, lln_report.lln)
-    ]
-
-    var_audit = variance_audit(
-        phi,
-        config.variance_n,
-        config.variance_replicas,
-        _stage_seed(config.seed, _STAGE_VARIANCE, config.variance_n),
-        sd,
-    )
 
     summary: dict[str, object] = {
         "pressure": sd.pressure,

@@ -4,6 +4,7 @@ documented error before any work is done."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import blocktropy as bt
-from blocktropy import typegraphs
+from blocktropy import harness, typegraphs
+from blocktropy.cli import main
 
 from conftest import CHAIN_CONFIG
 
@@ -273,6 +275,21 @@ GUARDS = {
         ValueError,
         "values must be finite",
     ),
+    "empirical-rate-bin-overflow": (
+        lambda: bt.empirical_rate([1e300], 10, 1e-10),
+        ValueError,
+        "values / bin_width leaves the int64 range",
+    ),
+    "empirical-rate-bin-range": (
+        lambda: bt.empirical_rate([-1e300, 1e300], 10, 1.0),
+        ValueError,
+        "values / bin_width leaves the int64 range",
+    ),
+    "empirical-rate-bin-span": (
+        lambda: bt.empirical_rate([0.3, 0.7], 10, 1e-13),
+        ValueError,
+        r"more than 2\*\*24 bins",
+    ),
     "relative-rate-stationary": (
         lambda: bt.relative_entropy_rate(SKEWED, CHAIN), ValueError, "stationary"
     ),
@@ -475,3 +492,34 @@ def test_input_guard_raises(name):
     call, error, message = GUARDS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "bin_width, samples",
+    [
+        # refused at load, before the LLN pass draws a path
+        (math.inf, False),
+        # the estimates would spread over more than 1e11 bins: the histogram
+        # refuses them after the LLN pass, where bincount asked for terabytes
+        (1e-13, True),
+    ],
+)
+def test_ldp_refuses_a_bin_width_it_cannot_histogram(
+    tmp_path, capsys, monkeypatch, bin_width, samples
+):
+    config = {
+        "potential": CHAIN_CONFIG, "n_grid": [64, 128], "replicas": 4, "bin_width": bin_width
+    }
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))  # inf is written as Infinity
+    drawn = []
+    groups = harness._replica_groups
+    monkeypatch.setattr(
+        harness, "_replica_groups", lambda *args: drawn.append(args) or groups(*args)
+    )
+    argv = ["ldp", "--config", str(config_file), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert bool(drawn) == samples
+    with pytest.raises(ChildProcessError):  # no forked worker is left behind
+        os.waitpid(-1, os.WNOHANG)

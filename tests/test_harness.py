@@ -6,13 +6,18 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blocktropy as bt
 from blocktropy import harness, rates
+from blocktropy.cli import main
 from blocktropy.harness import _exact_finite_scgf_grid, mc_scgf
 
 from conftest import CHAIN_CONFIG
@@ -559,3 +564,174 @@ def test_run_ldp_audit_and_scgf_content(tmp_path):
     assert report.summary["sigma2_theory"] == pytest.approx(
         0.4985408392082033, abs=1e-6
     )
+
+
+#: The A = 3 config of the string-cap test above: its exact column is blank.
+A3_CONFIG = bt.ExperimentConfig(
+    potential={
+        "type": "markov",
+        "transition": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+    },
+    n_grid=(64, 128),
+    replicas=4,
+    scgf_n=16,
+    scgf_replicas=4,
+    variance_n=32,
+    variance_replicas=4,
+)
+
+#: A small run of the reference chain in which every stage runs.
+SMALL_CONFIG = bt.ExperimentConfig(
+    potential=CHAIN_CONFIG,
+    n_grid=(64, 128),
+    replicas=4,
+    t_grid=(-0.5, 0.0, 1.0),
+    exact_n=8,
+    scgf_n=32,
+    scgf_replicas=8,
+    variance_n=64,
+    variance_replicas=8,
+)
+
+_USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _example_config():
+    with open("configs/ldp_example.json", encoding="utf-8") as fh:
+        return bt.ExperimentConfig.from_json_dict(json.load(fh))
+
+
+def _example_outputs():
+    with open("configs/ldp_example.summary.json", encoding="utf-8") as fh:
+        return EXAMPLE_CSV_SHA256, json.load(fh)["summary"]
+
+
+def _ldp_outputs(config, out_dir):
+    """The CSV digests and the report summary of ``run_ldp(config)``."""
+    paths = bt.write_report(bt.run_ldp(config), str(out_dir))
+    digests = {
+        name: hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
+        for name in EXAMPLE_CSV_SHA256
+    }
+    with open(paths["report"], encoding="utf-8") as fh:
+        return digests, json.load(fh)["summary"]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raises(error):
+    def stage(*args, **kwargs):
+        raise error
+
+    return stage
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The ``os.fork`` calls made during the test."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.mark.parametrize("name", ["example", "A = 3"])
+def test_run_ldp_worker_and_inline_write_the_same_bytes(tmp_path, monkeypatch, name):
+    config = _example_config() if name == "example" else A3_CONFIG
+    with_worker = _ldp_outputs(config, tmp_path / "worker")
+    monkeypatch.setattr(harness, "_worker_available", lambda: False)
+    inline = _ldp_outputs(config, tmp_path / "inline")
+    assert with_worker == inline
+    if name == "example":
+        assert inline == _example_outputs()
+    _assert_no_child()
+
+
+def test_run_ldp_runs_the_stages_of_a_failed_or_dead_worker_itself(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(harness, "_worker_available", lambda: False)
+    inline = _ldp_outputs(SMALL_CONFIG, tmp_path / "inline")
+    monkeypatch.setattr(harness, "_worker_available", lambda: True)
+    # a worker that dies before it sends a result
+    parent, mc = os.getpid(), harness.mc_scgf
+    monkeypatch.setattr(
+        harness, "mc_scgf", lambda *a: mc(*a) if os.getpid() == parent else os._exit(3)
+    )
+    assert _ldp_outputs(SMALL_CONFIG, tmp_path / "dead") == inline
+    _assert_no_child()
+
+    def fork():  # a fork that fails
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _ldp_outputs(SMALL_CONFIG, tmp_path / "no-fork") == inline
+
+
+@pytest.mark.skipif(_USABLE_CPUS < 2, reason="one usable CPU: run_ldp runs inline")
+def test_run_ldp_forks_one_worker_per_call(forks):
+    for calls in (1, 2):
+        bt.run_ldp(A3_CONFIG)
+        assert len(forks) == calls
+    _assert_no_child()
+
+
+def test_run_ldp_runs_inline_beside_another_thread(forks, tmp_path):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        outputs = _ldp_outputs(_example_config(), tmp_path)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert outputs == _example_outputs()
+
+
+@pytest.mark.parametrize("stage", ["mc_scgf", "variance_audit"])
+def test_run_ldp_raises_a_worker_stage_error(tmp_path, monkeypatch, capsys, stage):
+    monkeypatch.setattr(harness, stage, _raises(bt.ConvergenceError("x")))
+    with pytest.raises(bt.ConvergenceError, match="^x$"):
+        bt.run_ldp(SMALL_CONFIG)
+    _assert_no_child()
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(SMALL_CONFIG.to_json_dict()))
+    assert main(["ldp", "--config", str(config_file), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "numeric failure: x\n"
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "inline"])
+@pytest.mark.parametrize(
+    "first, later",
+    [
+        ("_exact_finite_scgf_grid", "mc_scgf"),
+        ("mc_scgf", "decomposition_audit"),
+        ("decomposition_audit", "variance_audit"),
+    ],
+)
+def test_run_ldp_raises_the_first_error_in_serial_order(monkeypatch, first, later, worker):
+    # serial order: LLN, theory, exact grid, mc_scgf, audits, variance
+    if not worker:
+        monkeypatch.setattr(harness, "_worker_available", lambda: False)
+    monkeypatch.setattr(harness, first, _raises(ValueError("first")))
+    monkeypatch.setattr(harness, later, _raises(bt.ConvergenceError("later")))
+    with pytest.raises(ValueError, match="^first$"):
+        bt.run_ldp(SMALL_CONFIG)
+    _assert_no_child()
+
+
+def test_run_ldp_kills_its_worker_when_interrupted(monkeypatch):
+    # the worker would sleep for a minute; the parent's interrupt ends it
+    monkeypatch.setattr(harness, "mc_scgf", lambda *args: time.sleep(60))
+    monkeypatch.setattr(harness, "_theory", _raises(KeyboardInterrupt()))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        bt.run_ldp(SMALL_CONFIG)
+    assert time.perf_counter() - start < 30
+    _assert_no_child()
